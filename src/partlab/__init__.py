@@ -5,7 +5,7 @@ enumeration oracle and a truncated formal power series, and every registered
 identity can be checked over a parameter grid with structured reports.
 """
 
-from .enumeration import ALL, DISTINCT, EnumKind, generate, count_where, multiplicity_at_most, sum_statistic
+from .enumeration import ALL, DISTINCT, EnumKind, generate, multiplicity_at_most
 from .errors import (
     DomainError,
     InvalidPartitionError,
@@ -18,14 +18,7 @@ from .errors import (
 )
 from .families import count_enum, count_series, d_o_parity_lhs, recurrence_d_e
 from .identities import IdentityReport, IdentitySpec, list_identities, verify, verify_cells
-from .partition import (
-    Partition,
-    format_partition,
-    make_partition,
-    multiplicity,
-    multiset_union,
-    parse_partition,
-)
+from .partition import Partition, format_partition, parse_partition
 from .qseries import Series, gf_family
 
 __version__ = "0.1.0"
@@ -48,19 +41,14 @@ __all__ = [
     "UnsupportedFamilyError",
     "count_enum",
     "count_series",
-    "count_where",
     "d_o_parity_lhs",
     "format_partition",
     "generate",
     "gf_family",
     "list_identities",
-    "make_partition",
-    "multiplicity",
     "multiplicity_at_most",
-    "multiset_union",
     "parse_partition",
     "recurrence_d_e",
-    "sum_statistic",
     "verify",
     "verify_cells",
     "__version__",

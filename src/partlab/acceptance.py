@@ -151,7 +151,7 @@ def criterion_3() -> CriterionResult:
         if trace.output.weight != source.weight:
             notes.append("weight not preserved")
             ok = False
-        step_values = {str(s.value) for s in trace.steps if not isinstance(s.value, str)}
+        step_values = {str(s.value) for s in trace.steps}
         if "21^8" not in step_values:
             notes.append("trace misses the converted block 21^8")
             ok = False
@@ -251,10 +251,11 @@ def criterion_8() -> CriterionResult:
     """Parity-piece identities plus the orientation adjudication."""
 
     def body(notes: list[str]) -> bool:
-        reports = identities.verify_cells(["I7"], n_max=30, engine="enum")
+        reports = identities.verify_cells(["I7", "I15"], n_max=30, engine="enum")
         ok = _reports_ok(notes, reports)
+        verdicts = identities.orientation_verdicts(reports)
         for p in (2, 3):
-            verdict = identities.adjudicate_orientation(p, 30)
+            verdict = verdicts[p]
             notes.append(f"orientation verdict for p={p}: {verdict}")
             if verdict not in ("printed", "swapped"):
                 notes.append(f"expected exactly one orientation to hold for p={p}")

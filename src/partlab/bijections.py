@@ -8,7 +8,6 @@ for exhaustive sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from . import families
 from .errors import DomainError, PartlabError
@@ -22,7 +21,7 @@ class LemmaViolation(PartlabError, RuntimeError):
 @dataclass(frozen=True)
 class TraceStep:
     label: str
-    value: Union[Partition, str]
+    value: Partition
 
 
 @dataclass(frozen=True)

@@ -124,11 +124,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 ce = r.counterexample
                 line += f"  first at n={ce.n}: lhs={ce.lhs} rhs={ce.rhs}"
             print(line)
-        if any(r.id in identities.I15_PAIR for r in reports):
-            for p in sorted({dict(r.params).get("p") for r in reports
-                             if r.id in identities.I15_PAIR}):
-                verdict = identities.adjudicate_orientation(p, args.n_max or 30)
-                print(f"orientation verdict (p={p}): {verdict}")
+        for p, verdict in identities.orientation_verdicts(reports).items():
+            print(f"orientation verdict (p={p}): {verdict}")
     return EXIT_OK if identities.overall_ok(reports) else EXIT_FAIL
 
 
@@ -167,16 +164,14 @@ def _cmd_map(args: argparse.Namespace) -> int:
             "input": format_partition(trace.input),
             "output": format_partition(trace.output),
             "steps": [
-                {"label": s.label,
-                 "value": format_partition(s.value) if not isinstance(s.value, str) else s.value}
+                {"label": s.label, "value": format_partition(s.value)}
                 for s in trace.steps
             ],
         }
         print(json.dumps(payload))
     else:
         for step in trace.steps:
-            value = step.value if isinstance(step.value, str) else format_partition(step.value)
-            print(f"{step.label}: {value}")
+            print(f"{step.label}: {format_partition(step.value)}")
         print(format_partition(trace.output))
     return EXIT_OK
 

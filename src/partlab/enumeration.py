@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import DomainError, ResourceLimitError
 from .partition import Pair, Partition
@@ -162,33 +162,6 @@ def generate(n: int, kind: EnumKind = ALL, cap: int | None = None) -> Iterator[P
     raw = Partition._raw
     for pairs in pair_sequences(n, kind, cap):
         yield raw(pairs, n)
-
-
-def count_where(
-    n: int,
-    kind: EnumKind = ALL,
-    predicate: Callable[[Partition], bool] = lambda _: True,
-    cap: int | None = None,
-) -> int:
-    """Number of generated partitions satisfying ``predicate``."""
-    total = 0
-    for partition in generate(n, kind, cap):
-        if predicate(partition):
-            total += 1
-    return total
-
-
-def sum_statistic(
-    n: int,
-    kind: EnumKind = ALL,
-    statistic: Callable[[Partition], int] = lambda p: 1,
-    cap: int | None = None,
-) -> int:
-    """Sum of ``statistic`` over all generated partitions."""
-    total = 0
-    for partition in generate(n, kind, cap):
-        total += statistic(partition)
-    return total
 
 
 def clear_cache() -> None:

@@ -555,10 +555,13 @@ def series_for(family: str, params: Params | None = None, order: int | None = No
 
 
 def count_series(family: str, n: int, params: Params | None = None, order: int | None = None) -> int:
-    """Value of the family at n read off its closed-form series."""
+    """Value of the family at n read off its closed-form series, built to
+    ``order`` when given (which must be at least n)."""
     if n < 0:
         raise DomainError(f"index must be nonnegative, got {n}")
-    series = series_for(family, params, max(n, order if order is not None else 0))
+    if order is not None and order < n:
+        raise DomainError(f"series order {order} is below the requested index {n}")
+    series = series_for(family, params, n if order is None else order)
     if n > series.order:
         raise ResourceLimitError(f"coefficient {n} beyond series order {series.order}")
     return series.coeffs[n]
@@ -615,16 +618,16 @@ def recurrence_d_e(n: int) -> int:
     if n < 1:
         raise DomainError(f"recurrence is defined for n >= 1, got {n}")
     memo = _recurrence_memo
+    terms = numtheory.pentagonal_terms(n)
     for m in range(len(memo), n + 1):
         total = 0
-        j = 1
-        while j * (3 * j - 1) // 2 <= m:
-            sign = 1 if j % 2 else -1
-            for e in (j * (3 * j + 1) // 2, j * (3 * j - 1) // 2):
+        for term in terms:
+            if term.exponent_minus > m:
+                break
+            for e in (term.exponent_plus, term.exponent_minus):
                 arg = m - e
                 if arg > 0:
-                    total += sign * memo[arg]
-            j += 1
+                    total -= term.sign * memo[arg]
         if m % 4 == 0:
             total += numtheory.gamma(m)
         memo[m] = total

@@ -9,13 +9,14 @@ CSV with stable field names.
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from io import StringIO
 from typing import Callable, Iterable, Mapping
 
-from . import enumeration, families, numtheory
+from . import enumeration, families, numtheory, qseries
 from .errors import DomainError, ResourceLimitError, UnknownIdentityError
 
 Params = dict[str, int]
@@ -30,15 +31,37 @@ class Counterexample:
     rhs: int
 
 
+Side = tuple[str, Params | None]
+
+
 @dataclass(frozen=True)
 class IdentitySpec:
+    """One registered claim.
+
+    Registry entries give ``sides``: for a grid cell, the groups of
+    (family, params) sides that the relation named by ``kind`` must hold
+    within.  Checked on n = n_lo..n_max, group by group:
+
+    - ``equality``: every side equals side 0;
+    - ``signed-equality``: side 0 equals (-1)^n times side 1;
+    - ``divisibility``: ``modulus`` divides side 0 minus side 1;
+    - ``congruence``: ``modulus`` divides side 0 at n = offset + modulus*m,
+      with offset from the cell.
+
+    ``modulus`` None takes the cell's p.  Specs without ``sides`` (I9, I10
+    and I14) have their own checkers.
+    """
+
     id: str
     description: str
-    kind: str  # equality | divisibility | congruence | parity | series-equality
+    kind: str  # the relations above | recurrence | parity | series-equality
     grid: tuple[tuple[tuple[str, int], ...], ...]
     engines: tuple[str, ...]
     enum_n_max: int
     series_n_max: int = 200
+    sides: Callable[[Params], tuple[tuple[Side, ...], ...]] | None = None
+    n_lo: int = 0
+    modulus: int | None = None
 
     def cells(self) -> tuple[Params, ...]:
         return tuple(dict(cell) for cell in self.grid)
@@ -69,7 +92,7 @@ def format_params(params: Mapping[str, int], sep: str = ",") -> str:
 
 
 # ---------------------------------------------------------------------------
-# Checker helpers
+# The relation runner and the bespoke checkers
 # ---------------------------------------------------------------------------
 
 Evaluator = Callable[[int], int]
@@ -84,95 +107,33 @@ def _eval(fid: str, params: Mapping[str, int] | None, engine: str, n_max: int) -
     raise DomainError(f"engine must be 'enum' or 'series', got {engine!r}")
 
 
-def _first_mismatch(sides: list[Evaluator], n_lo: int, n_max: int) -> Counterexample | None:
-    for n in range(n_lo, n_max + 1):
-        first = sides[0](n)
-        for other in sides[1:]:
-            value = other(n)
-            if value != first:
-                return Counterexample(n, first, value)
+def _run_relation(spec: IdentitySpec, cell: Params, n_max: int, engine: str) -> Counterexample | None:
+    """First counterexample to a registry entry, or None.
+
+    Equality reports side 0 against the first side that differs,
+    signed equality the signed side 1, divisibility both raw values and
+    congruence (index, value, 0).
+    """
+    kind = spec.kind
+    modulus = spec.modulus or cell.get("p")
+    for group in spec.sides(cell):
+        first, *others = [_eval(fid, fparams, engine, n_max) for fid, fparams in group]
+        if kind == "congruence":
+            for n in range(cell["offset"], n_max + 1, modulus):
+                value = first(n)
+                if value % modulus != 0:
+                    return Counterexample(n, value, 0)
+            continue
+        for n in range(spec.n_lo, n_max + 1):
+            lhs = first(n)
+            for other in others:
+                rhs = other(n)
+                if kind == "signed-equality" and n % 2:
+                    rhs = -rhs
+                differs = (lhs - rhs) % modulus if kind == "divisibility" else lhs != rhs
+                if differs:
+                    return Counterexample(n, lhs, rhs)
     return None
-
-
-def _equality(fams: list[tuple[str, Params | None]], n_lo: int = 0):
-    def check(params: Params, n_max: int, engine: str) -> Counterexample | None:
-        sides = [_eval(fid, fparams, engine, n_max) for fid, fparams in fams]
-        return _first_mismatch(sides, n_lo, n_max)
-
-    return check
-
-
-# ---------------------------------------------------------------------------
-# Individual checkers
-# ---------------------------------------------------------------------------
-
-
-def _check_i1(params: Params, n_max: int, engine: str) -> Counterexample | None:
-    return _equality([("a", None), ("c", None)], 1)(params, n_max, engine)
-
-
-def _check_i2(params: Params, n_max: int, engine: str) -> Counterexample | None:
-    c = _eval("c", None, engine, n_max)
-    b = _eval("b", None, engine, n_max)
-    for n in range(1, n_max + 1):
-        lhs = c(n)
-        rhs = b(n) if n % 2 == 0 else -b(n)
-        if lhs != rhs:
-            return Counterexample(n, lhs, rhs)
-    return None
-
-
-def _check_i3(params: Params, n_max: int, engine: str) -> Counterexample | None:
-    a = _eval("a", None, engine, n_max)
-    bp = _eval("b_prime", None, engine, n_max)
-    for n in range(1, n_max + 1):
-        lhs, rhs = a(n), bp(n)
-        if (lhs - rhs) % 2 != 0:
-            return Counterexample(n, lhs, rhs)
-    return None
-
-
-def _check_i4(params: Params, n_max: int, engine: str) -> Counterexample | None:
-    cell = {"p": params["p"], "r": params["r"]}
-    return _equality([("a_r", cell), ("g_r", cell)], 1)(params, n_max, engine)
-
-
-def _check_i5(params: Params, n_max: int, engine: str) -> Counterexample | None:
-    p = params["p"]
-    a_np = _eval("a_np", {"p": p}, engine, n_max)
-    o_p = _eval("o_p", {"p": p}, engine, n_max)
-    for n in range(0, n_max + 1):
-        lhs, rhs = a_np(n), o_p(n)
-        if (lhs - rhs) % p != 0:
-            return Counterexample(n, lhs, rhs)
-    return None
-
-
-def _check_i6(params: Params, n_max: int, engine: str) -> Counterexample | None:
-    p, offset = params["p"], params["offset"]
-    a_np = _eval("a_np", {"p": p}, engine, n_max)
-    index = offset
-    while index <= n_max:
-        value = a_np(index)
-        if value % p != 0:
-            return Counterexample(index, value, 0)
-        index += p
-    return None
-
-
-def _check_i7(params: Params, n_max: int, engine: str) -> Counterexample | None:
-    p = params["p"]
-    mismatch = _equality([("o_p_odd", {"p": p}), ("h", {"p": p, "i": p})])(params, n_max, engine)
-    if mismatch is not None:
-        return mismatch
-    return _equality([("o_p_even", {"p": p}), ("h", {"p": p, "i": 0})])(params, n_max, engine)
-
-
-def _check_i8(params: Params, n_max: int, engine: str) -> Counterexample | None:
-    mismatch = _equality([("d_e", None), ("f0", None)], 1)(params, n_max, engine)
-    if mismatch is not None:
-        return mismatch
-    return _equality([("d_o", None), ("f2", None)], 1)(params, n_max, engine)
 
 
 def _check_i9(params: Params, n_max: int, engine: str) -> Counterexample | None:
@@ -196,34 +157,11 @@ def _check_i10(params: Params, n_max: int, engine: str) -> Counterexample | None
     return None
 
 
-def _check_i11(params: Params, n_max: int, engine: str) -> Counterexample | None:
-    cell = {"p": params["p"], "k": params["k"], "r": params["r"]}
-    return _equality([("f_pkr", cell), ("d_pkr", cell)], 1)(params, n_max, engine)
-
-
-def _check_i12(params: Params, n_max: int, engine: str) -> Counterexample | None:
-    k = params["k"]
-    sides: list[tuple[str, Params | None]] = [("o_p", {"p": k}), ("d_k", {"k": k})]
-    if k == 4:
-        sides.append(("d_e", None))
-    return _equality(sides)(params, n_max, engine)
-
-
-def _check_i13(params: Params, n_max: int, engine: str) -> Counterexample | None:
-    p, k = params["p"], params["k"]
-    return _equality([
-        ("d_k", {"k": p * k}),
-        ("d_pkr", {"p": p, "k": k, "r": 0}),
-    ])(params, n_max, engine)
-
-
 def _check_i14(params: Params, n_max: int, engine: str) -> Counterexample | None:
     cell = {"alpha": params["alpha"], "k": params["k"], "p": params["p"]}
     if engine == "series":
         # Two independently built series: the parity-split sum over the
         # tracked repeated part versus the folded alternating-sign form.
-        from . import qseries
-
         lhs = qseries.add(
             qseries.gf_family("g_alpha_odd", cell, n_max),
             qseries.negate(qseries.gf_family("g_alpha_even", cell, n_max)),
@@ -244,30 +182,9 @@ def _check_i14(params: Params, n_max: int, engine: str) -> Counterexample | None
     return None
 
 
-def _check_i15_printed(params: Params, n_max: int, engine: str) -> Counterexample | None:
-    p = params["p"]
-    g_cell = {"alpha": p, "k": p, "p": p}
-    mismatch = _equality([("g_alpha_odd", g_cell), ("h", {"p": p, "i": 0})])(params, n_max, engine)
-    if mismatch is not None:
-        return mismatch
-    return _equality([("g_alpha_even", g_cell), ("h", {"p": p, "i": p})])(params, n_max, engine)
-
-
-def _check_i15_swapped(params: Params, n_max: int, engine: str) -> Counterexample | None:
-    p = params["p"]
-    g_cell = {"alpha": p, "k": p, "p": p}
-    mismatch = _equality([("g_alpha_odd", g_cell), ("h", {"p": p, "i": p})])(params, n_max, engine)
-    if mismatch is not None:
-        return mismatch
-    return _equality([("g_alpha_even", g_cell), ("h", {"p": p, "i": 0})])(params, n_max, engine)
-
-
-def _check_i16(params: Params, n_max: int, engine: str) -> Counterexample | None:
-    t = params["t"]
-    return _equality([
-        ("glaisher_left", {"t": t}),
-        ("glaisher_right", {"t": t}),
-    ])(params, n_max, engine)
+_BESPOKE: dict[str, Callable[[Params, int, str], Counterexample | None]] = {
+    "I9": _check_i9, "I10": _check_i10, "I14": _check_i14,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -281,74 +198,92 @@ def _grid(*cells: Mapping[str, int]) -> tuple[tuple[tuple[str, int], ...], ...]:
 
 _EMPTY = _grid({})
 
-_REGISTRY: dict[str, IdentitySpec] = {}
-_CHECKERS: dict[str, Callable[[Params, int, str], Counterexample | None]] = {}
+
+def _heavy_parity_pieces(swapped: bool) -> Callable[[Params], tuple[tuple[Side, ...], ...]]:
+    """Sides of the proposition on g_alpha_odd/even(p,p,p), as printed or swapped."""
+    def sides(cell: Params) -> tuple[tuple[Side, ...], ...]:
+        p = cell["p"]
+        g_cell = {"alpha": p, "k": p, "p": p}
+        odd_i, even_i = (p, 0) if swapped else (0, p)
+        return ((("g_alpha_odd", g_cell), ("h", {"p": p, "i": odd_i})),
+                (("g_alpha_even", g_cell), ("h", {"p": p, "i": even_i})))
+    return sides
 
 
-def _register(spec: IdentitySpec, checker) -> None:
-    _REGISTRY[spec.id] = spec
-    _CHECKERS[spec.id] = checker
-
-
-_register(IdentitySpec(
-    "I1", "a(n) = c(n): even parts over distinct partitions vs the signed "
-    "single-repeated-part count", "equality", _EMPTY, ("enum",), 40), _check_i1)
-_register(IdentitySpec(
-    "I2", "c(n) = (-1)^n b(n) as signed integers", "equality", _EMPTY, ("enum",), 40), _check_i2)
-_register(IdentitySpec(
-    "I3", "2 divides a(n) - b_prime(n)", "divisibility", _EMPTY, ("enum",), 40), _check_i3)
-_register(IdentitySpec(
-    "I4", "a_r(n;p,r) = g_r(n;p,r) for the signed repeated-part count",
-    "equality",
-    _grid(*({"p": p, "r": r} for p in (2, 3, 4, 5) for r in range(p - 1))),
-    ("enum",), 30), _check_i4)
-_register(IdentitySpec(
-    "I5", "p divides a_np(n;p) - o_p(n;p)", "divisibility",
-    _grid(*({"p": p} for p in (2, 3, 5))), ("series", "enum"), 30), _check_i5)
-_register(IdentitySpec(
-    "I6", "a_np(p*m + offset; p) is divisible by p along the stated "
-    "arithmetic progressions", "congruence",
-    _grid({"p": 5, "offset": 4}, {"p": 7, "offset": 5}, {"p": 11, "offset": 6}),
-    ("series", "enum"), 30), _check_i6)
-_register(IdentitySpec(
-    "I7", "o_p_odd = h(i=p) and o_p_even = h(i=0)", "equality",
-    _grid(*({"p": p} for p in (2, 3, 4))), ("enum",), 30), _check_i7)
-_register(IdentitySpec(
-    "I8", "d_e = f0 and d_o = f2", "equality", _EMPTY, ("enum", "series"), 40), _check_i8)
-_register(IdentitySpec(
-    "I9", "pentagonal recurrence with the gamma correction reproduces d_e",
-    "equality", _EMPTY, ("enum",), 60), _check_i9)
-_register(IdentitySpec(
-    "I10", "triangular parity sum of d_o matches the divisor-count parity",
-    "parity", _EMPTY, ("enum", "series"), 60), _check_i10)
-_register(IdentitySpec(
-    "I11", "f_pkr = d_pkr", "equality",
-    _grid(*({"p": p, "k": k, "r": r} for p in (2, 3) for k in (2, 3, 4) for r in range(p))),
-    ("enum", "series"), 30), _check_i11)
-_register(IdentitySpec(
-    "I12", "o_p(.;k) = d_k and, at k=4, d_k = d_e", "equality",
-    _grid(*({"k": k} for k in (2, 3, 4, 5))), ("enum",), 40), _check_i12)
-_register(IdentitySpec(
-    "I13", "d_k with k = p*k' equals d_pkr with r = 0", "equality",
-    _grid({"p": 2, "k": 2}, {"p": 2, "k": 3}, {"p": 3, "k": 2}, {"p": 3, "k": 4}),
-    ("enum",), 30), _check_i13)
-_register(IdentitySpec(
-    "I14", "signed heavy-part generating function: parity-split build equals "
-    "the folded alternating form; unsigned pieces match enumeration",
-    "series-equality",
-    _grid(*({"p": p, "k": k, "alpha": a} for p in (2, 3) for k in range(2, p + 1) for a in (k, k + 1))),
-    ("series", "enum"), 30), _check_i14)
-_register(IdentitySpec(
-    "I15", "as printed: g_alpha_odd(p,p,p) = h(i=0) and g_alpha_even = h(i=p)",
-    "equality", _grid({"p": 2}, {"p": 3}), ("enum",), 30), _check_i15_printed)
-_register(IdentitySpec(
-    "I15-swapped", "swapped orientation: g_alpha_odd(p,p,p) = h(i=p) and "
-    "g_alpha_even = h(i=0)", "equality",
-    _grid({"p": 2}, {"p": 3}), ("enum",), 30), _check_i15_swapped)
-_register(IdentitySpec(
-    "I16", "multiplicity bound t-1 and no-part-divisible-by-t classes are "
-    "equinumerous", "equality",
-    _grid(*({"t": t} for t in (2, 3, 4, 5))), ("enum",), 40), _check_i16)
+_REGISTRY: dict[str, IdentitySpec] = {spec.id: spec for spec in (
+    IdentitySpec(
+        "I1", "a(n) = c(n): even parts over distinct partitions vs the signed "
+        "single-repeated-part count", "equality", _EMPTY, ("enum",), 40,
+        sides=lambda c: ((("a", None), ("c", None)),), n_lo=1),
+    IdentitySpec(
+        "I2", "c(n) = (-1)^n b(n) as signed integers", "signed-equality", _EMPTY, ("enum",), 40,
+        sides=lambda c: ((("c", None), ("b", None)),), n_lo=1),
+    IdentitySpec(
+        "I3", "2 divides a(n) - b_prime(n)", "divisibility", _EMPTY, ("enum",), 40,
+        sides=lambda c: ((("a", None), ("b_prime", None)),), n_lo=1, modulus=2),
+    IdentitySpec(
+        "I4", "a_r(n;p,r) = g_r(n;p,r) for the signed repeated-part count", "equality",
+        _grid(*({"p": p, "r": r} for p in (2, 3, 4, 5) for r in range(p - 1))), ("enum",), 30,
+        sides=lambda c: ((("a_r", c), ("g_r", c)),), n_lo=1),
+    IdentitySpec(
+        "I5", "p divides a_np(n;p) - o_p(n;p)", "divisibility",
+        _grid(*({"p": p} for p in (2, 3, 5))), ("series", "enum"), 30,
+        sides=lambda c: ((("a_np", c), ("o_p", c)),)),
+    IdentitySpec(
+        "I6", "a_np(p*m + offset; p) is divisible by p along the stated "
+        "arithmetic progressions", "congruence",
+        _grid({"p": 5, "offset": 4}, {"p": 7, "offset": 5}, {"p": 11, "offset": 6}),
+        ("series", "enum"), 30,
+        sides=lambda c: ((("a_np", {"p": c["p"]}),),)),
+    IdentitySpec(
+        "I7", "o_p_odd = h(i=p) and o_p_even = h(i=0)", "equality",
+        _grid(*({"p": p} for p in (2, 3, 4))), ("enum",), 30,
+        sides=lambda c: ((("o_p_odd", c), ("h", {"p": c["p"], "i": c["p"]})),
+                         (("o_p_even", c), ("h", {"p": c["p"], "i": 0})))),
+    IdentitySpec(
+        "I8", "d_e = f0 and d_o = f2", "equality", _EMPTY, ("enum", "series"), 40,
+        sides=lambda c: ((("d_e", None), ("f0", None)), (("d_o", None), ("f2", None))), n_lo=1),
+    IdentitySpec(
+        "I9", "pentagonal recurrence with the gamma correction reproduces d_e",
+        "recurrence", _EMPTY, ("enum",), 60),
+    IdentitySpec(
+        "I10", "triangular parity sum of d_o matches the divisor-count parity",
+        "parity", _EMPTY, ("enum", "series"), 60),
+    IdentitySpec(
+        "I11", "f_pkr = d_pkr", "equality",
+        _grid(*({"p": p, "k": k, "r": r} for p in (2, 3) for k in (2, 3, 4) for r in range(p))),
+        ("enum", "series"), 30,
+        sides=lambda c: ((("f_pkr", c), ("d_pkr", c)),), n_lo=1),
+    IdentitySpec(
+        "I12", "o_p(.;k) = d_k and, at k=4, d_k = d_e", "equality",
+        _grid(*({"k": k} for k in (2, 3, 4, 5))), ("enum",), 40,
+        sides=lambda c: ((("o_p", {"p": c["k"]}), ("d_k", c),
+                          *((("d_e", None),) if c["k"] == 4 else ())),)),
+    IdentitySpec(
+        "I13", "d_k with k = p*k' equals d_pkr with r = 0", "equality",
+        _grid({"p": 2, "k": 2}, {"p": 2, "k": 3}, {"p": 3, "k": 2}, {"p": 3, "k": 4}),
+        ("enum",), 30,
+        sides=lambda c: ((("d_k", {"k": c["p"] * c["k"]}), ("d_pkr", {**c, "r": 0})),)),
+    IdentitySpec(
+        "I14", "signed heavy-part generating function: parity-split build equals "
+        "the folded alternating form; unsigned pieces match enumeration",
+        "series-equality",
+        _grid(*({"p": p, "k": k, "alpha": a} for p in (2, 3) for k in range(2, p + 1) for a in (k, k + 1))),
+        ("series", "enum"), 30),
+    IdentitySpec(
+        "I15", "as printed: g_alpha_odd(p,p,p) = h(i=0) and g_alpha_even = h(i=p)",
+        "equality", _grid({"p": 2}, {"p": 3}), ("enum",), 30,
+        sides=_heavy_parity_pieces(swapped=False)),
+    IdentitySpec(
+        "I15-swapped", "swapped orientation: g_alpha_odd(p,p,p) = h(i=p) and "
+        "g_alpha_even = h(i=0)", "equality", _grid({"p": 2}, {"p": 3}), ("enum",), 30,
+        sides=_heavy_parity_pieces(swapped=True)),
+    IdentitySpec(
+        "I16", "multiplicity bound t-1 and no-part-divisible-by-t classes are "
+        "equinumerous", "equality",
+        _grid(*({"t": t} for t in (2, 3, 4, 5))), ("enum",), 40,
+        sides=lambda c: ((("glaisher_left", c), ("glaisher_right", c)),)),
+)}
 
 I15_PAIR = ("I15", "I15-swapped")
 
@@ -379,10 +314,6 @@ def _resolve_n_max(spec: IdentitySpec, engine: str, n_max: int | None) -> int:
             raise DomainError(f"n_max must be >= 1, got {n_max}")
         return n_max
     return spec.series_n_max if engine == "series" else spec.enum_n_max
-
-
-def _enumeration_cap() -> int:
-    return enumeration.resolve_cap(None)
 
 
 def _match_cell(spec: IdentitySpec, params: Mapping[str, int] | None) -> list[Params]:
@@ -429,14 +360,17 @@ def verify(identity_id: str, params: Mapping[str, int] | None = None,
         resolved = _resolve_n_max(spec, eng, n_max)
         if eng == "enum":
             # Fail fast instead of enumerating up to the cap first.
-            cap = _enumeration_cap()
+            cap = enumeration.resolve_cap(None)
             if resolved > cap:
                 raise ResourceLimitError(
                     f"n_max={resolved} exceeds the enumeration cap {cap} "
                     f"for the enum engine of {identity_id}"
                 )
         used_n_max = max(used_n_max, resolved)
-        counterexample = _CHECKERS[identity_id](cell, resolved, eng)
+        if spec.sides is None:
+            counterexample = _BESPOKE[identity_id](cell, resolved, eng)
+        else:
+            counterexample = _run_relation(spec, cell, resolved, eng)
         if counterexample is not None:
             break
     ms = int(round((time.perf_counter() - start) * 1000))
@@ -465,8 +399,12 @@ def verify_cells(ids: Iterable[str] | None = None,
 
     Requesting either orientation of the adjudicated pair pulls in the other
     so the exactly-one-holds rule can be applied.  Output order is by
-    (identity, parameters) regardless of completion order.
+    (identity, parameters) regardless of completion order.  ``jobs`` (>= 1)
+    caps the worker processes, which are also capped by the CPU count and
+    the number of cells.
     """
+    if jobs < 1:
+        raise DomainError(f"jobs must be >= 1, got {jobs}")
     sweep_all = ids is None
     wanted = list(ids) if ids is not None else list(_REGISTRY)
     for identity_id in wanted:
@@ -486,8 +424,9 @@ def verify_cells(ids: Iterable[str] | None = None,
             continue
         for cell in _match_cell(spec, params):
             tasks.append((identity_id, tuple(sorted(cell.items())), n_max, engine))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_verify_job, tasks))
     else:
         reports = [_verify_job(task) for task in tasks]
@@ -495,37 +434,43 @@ def verify_cells(ids: Iterable[str] | None = None,
     return reports
 
 
-def overall_ok(reports: Iterable[IdentityReport]) -> bool:
-    """True when every report holds, with the adjudicated pair counting as
-    holding when exactly one orientation holds per parameter cell."""
-    plain_ok = True
+def _paired_outcomes(reports: Iterable[IdentityReport]) -> dict[tuple[tuple[str, int], ...], dict[str, bool]]:
+    """Per parameter cell, whether each orientation of the adjudicated pair holds."""
     paired: dict[tuple[tuple[str, int], ...], dict[str, bool]] = {}
     for report in reports:
         if report.id in I15_PAIR:
             paired.setdefault(report.params, {})[report.id] = report.holds
-        elif not report.holds:
-            plain_ok = False
-    for outcomes in paired.values():
+    return paired
+
+
+def overall_ok(reports: Iterable[IdentityReport]) -> bool:
+    """True when every report holds, with the adjudicated pair counting as
+    holding when exactly one orientation holds per parameter cell."""
+    reports = list(reports)
+    if not all(r.holds for r in reports if r.id not in I15_PAIR):
+        return False
+    for outcomes in _paired_outcomes(reports).values():
         if len(outcomes) == 2:
             if sum(outcomes.values()) != 1:
                 return False
         elif not all(outcomes.values()):
             return False
-    return plain_ok
+    return True
 
 
-def adjudicate_orientation(p: int, n_max: int = 30) -> str:
+_VERDICTS = {(True, True): "both", (True, False): "printed",
+             (False, True): "swapped", (False, False): "neither"}
+
+
+def orientation_verdicts(reports: Iterable[IdentityReport]) -> dict[int, str]:
     """Which orientation of the proposition about the heavy-part parity
-    pieces holds: 'printed', 'swapped', 'both' or 'neither'."""
-    printed = verify("I15", {"p": p}, n_max, "enum").holds
-    swapped = verify("I15-swapped", {"p": p}, n_max, "enum").holds
-    if printed and swapped:
-        return "both"
-    if printed:
-        return "printed"
-    if swapped:
-        return "swapped"
-    return "neither"
+    pieces holds, per p with reports for both: 'printed', 'swapped', 'both'
+    or 'neither'.  Sorted by p."""
+    verdicts = {}
+    for params, outcomes in sorted(_paired_outcomes(reports).items()):
+        if len(outcomes) == 2:
+            verdicts[dict(params)["p"]] = _VERDICTS[outcomes["I15"], outcomes["I15-swapped"]]
+    return verdicts
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,10 @@ class Partition:
     weight: int
 
     def __init__(self, pairs: Iterable[Pair] = ()):
+        """Canonicalize arbitrary (part, multiplicity) input: duplicate parts
+        merge by summing multiplicities, zero multiplicities are dropped and
+        parts sort in decreasing order.  Raises InvalidPartitionError for
+        parts <= 0 or negative multiplicities."""
         merged: dict[int, int] = {}
         for item in pairs:
             try:
@@ -101,24 +105,6 @@ class Partition:
 
     def __repr__(self) -> str:
         return f"Partition({format_partition(self)!r})"
-
-
-def make_partition(pairs: Iterable[Pair]) -> Partition:
-    """Canonicalize arbitrary (part, multiplicity) input.
-
-    Duplicate parts merge by summing multiplicities, zero multiplicities are
-    dropped, parts sort in decreasing order.  Raises InvalidPartitionError for
-    parts <= 0 or negative multiplicities.
-    """
-    return Partition(pairs)
-
-
-def multiset_union(a: Partition, b: Partition) -> Partition:
-    return a.union(b)
-
-
-def multiplicity(p: Partition, part: int) -> int:
-    return p.multiplicity(part)
 
 
 def format_partition(p: Partition) -> str:

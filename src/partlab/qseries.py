@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping
 
+from . import numtheory
 from .errors import DomainError, OrderMismatchError, UnsupportedFamilyError
 
 DEFAULT_ORDER = 200
@@ -184,13 +185,10 @@ def pentagonal_series(order: int) -> Series:
     generalized pentagonal numbers j(3j +- 1)/2 with sign (-1)^j."""
     c = [0] * (order + 1)
     c[0] = 1
-    j = 1
-    while j * (3 * j - 1) // 2 <= order:
-        s = -1 if j % 2 else 1
-        for e in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+    for term in numtheory.pentagonal_terms(order):
+        for e in (term.exponent_minus, term.exponent_plus):
             if e <= order:
-                c[e] += s
-        j += 1
+                c[e] += term.sign
     return Series(c)
 
 

@@ -1,6 +1,6 @@
 import json
 
-from partlab import cli
+from partlab import cli, identities
 from partlab.enumeration import CAP_ENV_VAR
 
 
@@ -34,6 +34,15 @@ def test_table_series_engine_matches_enum(capsys):
     _, enum_out, _ = run(capsys, "table", "o_p", "0..20", "--p", "3")
     _, series_out, _ = run(capsys, "table", "o_p", "0..20", "--p", "3", "--engine", "series")
     assert enum_out == series_out
+
+
+def test_table_series_order_must_cover_n(capsys):
+    code, _, err = run(capsys, "table", "d_e", "8", "--engine", "series", "--order", "3")
+    assert code == 2
+    assert "order" in err
+    code, out, _ = run(capsys, "table", "d_e", "8", "--engine", "series", "--order", "8")
+    assert code == 0
+    assert out.strip() == "8,6"
 
 
 def test_table_formats(capsys):
@@ -78,6 +87,29 @@ def test_verify_rejects_empty_range(capsys):
     code, _, err = run(capsys, "verify", "I1", "--n-max", "0")
     assert code == 2
     assert "n-max" in err
+
+
+def test_verify_rejects_jobs_below_one(capsys):
+    for jobs in ("0", "-3"):
+        code, _, err = run(capsys, "verify", "I1", "--n-max", "5", "--jobs", jobs)
+        assert code == 2
+        assert "jobs" in err
+
+
+def test_verify_i15_runs_each_cell_once(capsys, monkeypatch):
+    calls = []
+    original = identities.verify
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(identities, "verify", counting)
+    code, out, _ = run(capsys, "verify", "I15")
+    assert code == 0
+    assert out.strip().splitlines()[-2:] == ["orientation verdict (p=2): swapped",
+                                             "orientation verdict (p=3): swapped"]
+    assert len(calls) == 4
 
 
 def test_verify_unknown_identity(capsys):

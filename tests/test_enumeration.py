@@ -1,7 +1,7 @@
 import pytest
 
 from partlab import enumeration, qseries
-from partlab.enumeration import ALL, DISTINCT, generate, count_where, multiplicity_at_most, sum_statistic
+from partlab.enumeration import ALL, DISTINCT, generate, multiplicity_at_most
 from partlab.errors import DomainError, ResourceLimitError
 from partlab.partition import Partition, format_partition
 
@@ -21,23 +21,24 @@ def test_multiplicity_bound_matches_no_multiples_filter():
     for t in (2, 3, 4, 5):
         for n in range(0, 41):
             bounded = sum(1 for _ in generate(n, multiplicity_at_most(t - 1)))
-            filtered = count_where(
-                n, ALL, lambda p, t=t: all(part % t for part, _ in p.pairs)
-            )
+            filtered = sum(1 for p in generate(n, ALL) if all(part % t for part, _ in p.pairs))
             assert bounded == filtered, (t, n)
 
 
-def test_count_where_examples():
-    assert count_where(3, ALL, lambda p: sum(1 for part, _ in p.pairs if part % 2 == 0) == 1) == 1
-    assert count_where(5, ALL) == 7
-    assert count_where(2, DISTINCT, lambda p: False) == 0
+def test_filtered_count_examples():
+    one_even_part = [p for p in generate(3, ALL) if sum(1 for part, _ in p.pairs if part % 2 == 0) == 1]
+    assert one_even_part == [Partition([(2, 1), (1, 1)])]
+    assert sum(1 for _ in generate(5, ALL)) == 7
+    assert [format_partition(p) for p in generate(2, DISTINCT)] == ["2"]
 
 
-def test_sum_statistic_even_parts_over_distinct():
-    even_parts = lambda p: sum(m for part, m in p.pairs if part % 2 == 0)
-    assert sum_statistic(2, DISTINCT, even_parts) == 1
-    assert sum_statistic(3, DISTINCT, even_parts) == 1
-    assert sum_statistic(1, DISTINCT, even_parts) == 0
+def test_statistic_sum_even_parts_over_distinct():
+    def even_parts(n):
+        return sum(m for p in generate(n, DISTINCT) for part, m in p.pairs if part % 2 == 0)
+
+    assert even_parts(2) == 1
+    assert even_parts(3) == 1
+    assert even_parts(1) == 0
 
 
 def test_counts_match_series_engines():
@@ -68,8 +69,8 @@ def test_cap_enforced_and_overridable(monkeypatch):
     monkeypatch.delenv(enumeration.CAP_ENV_VAR, raising=False)
     with pytest.raises(ResourceLimitError):
         list(generate(enumeration.DEFAULT_CAP + 1, ALL))
-    assert count_where(enumeration.DEFAULT_CAP + 1, DISTINCT, lambda p: False,
-                       cap=enumeration.DEFAULT_CAP + 1) == 0
+    beyond = enumeration.DEFAULT_CAP + 1
+    assert sum(1 for _ in generate(beyond, DISTINCT, cap=beyond)) > 0
 
     monkeypatch.setenv(enumeration.CAP_ENV_VAR, "10")
     with pytest.raises(ResourceLimitError):

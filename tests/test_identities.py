@@ -6,10 +6,13 @@ import pytest
 from partlab import identities
 from partlab.errors import DomainError, UnknownIdentityError
 from partlab.identities import (
-    adjudicate_orientation,
+    Counterexample,
+    IdentityReport,
+    IdentitySpec,
     format_params,
     identity_ids,
     list_identities,
+    orientation_verdicts,
     overall_ok,
     reports_to_csv,
     reports_to_json,
@@ -25,6 +28,8 @@ def test_registry_complete_and_unique():
     assert "I15-swapped" in ids
     assert len(ids) == len(set(ids))
     assert len(list_identities()) == len(ids)
+    # every claim but these three is registry data run by one runner
+    assert {s.id for s in list_identities() if s.sides is None} == {"I9", "I10", "I14"}
 
 
 def test_smoke_all_default_grids():
@@ -58,8 +63,17 @@ def test_default_engines_and_n_max():
 
 
 def test_adjudication_exactly_one_orientation():
-    for p in (2, 3):
-        assert adjudicate_orientation(p, 30) == "swapped"
+    assert orientation_verdicts(verify_cells(["I15"], n_max=30)) == {2: "swapped", 3: "swapped"}
+
+    def report(identity_id, p, holds):
+        return IdentityReport(identity_id, (("p", p),), 30, "enum",
+                              "holds" if holds else "fails", None, 0)
+
+    reports = [report("I15", 2, True), report("I15-swapped", 2, True),
+               report("I15", 3, False), report("I15-swapped", 3, False),
+               report("I15", 5, True), report("I1", 7, False)]
+    # a p with only one orientation reported gets no verdict
+    assert orientation_verdicts(reports) == {2: "both", 3: "neither"}
 
 
 def test_printed_orientation_counterexample_reproducible():
@@ -144,6 +158,9 @@ def test_parallel_jobs_match_sequential():
     par = verify_cells(["I4"], n_max=12, jobs=2)
     strip = lambda rs: [(r.id, r.params, r.status) for r in rs]
     assert strip(seq) == strip(par)
+    for jobs in (0, -3):
+        with pytest.raises(DomainError):
+            verify_cells(["I4"], n_max=12, jobs=jobs)
 
 
 def test_json_and_csv_serialization():
@@ -165,3 +182,35 @@ def test_json_and_csv_serialization():
 def test_format_params_order_is_stable():
     assert format_params({"k": 4, "p": 3, "r": 1}) == "p=3,k=4,r=1"
     assert format_params({}) == ""
+
+
+def _relation(kind, sides, n_lo=0, modulus=None):
+    return IdentitySpec("X", "deliberately false", kind, ((),), ("enum",), 30,
+                        sides=lambda cell: sides, n_lo=n_lo, modulus=modulus)
+
+
+S, A, D_E = ("s", None), ("a", None), ("d_e", None)  # s: 1,1,2,3,5 a: 0,0,1,1,1 d_e: 0,0,0,0,1
+
+
+@pytest.mark.parametrize("spec, cell, expected", [
+    # equality: side 0 against the first side that differs
+    (_relation("equality", ((S, S, A),), n_lo=1), {}, (1, 1, 0)),
+    # groups are checked in order, each over the whole range
+    (_relation("equality", ((S, S), (A, D_E))), {}, (2, 1, 0)),
+    # signed equality: rhs is (-1)^n times side 1
+    (_relation("signed-equality", ((S, S),), n_lo=1), {}, (1, 1, -1)),
+    # divisibility: both raw values, modulus fixed or the cell's p
+    (_relation("divisibility", ((S, A),), n_lo=2, modulus=2), {}, (2, 2, 1)),
+    (_relation("divisibility", ((S, D_E),), n_lo=4), {"p": 3}, (4, 5, 1)),
+    # congruence along offset + p*m: (index, value, 0)
+    (_relation("congruence", ((S,),)), {"p": 5, "offset": 3}, (3, 3, 0)),
+])
+def test_relation_counterexample_convention(spec, cell, expected):
+    assert identities._run_relation(spec, cell, 30, "enum") == Counterexample(*expected)
+
+
+def test_relation_runner_passes_true_claims():
+    # Ramanujan's s(5m + 4) = 0 mod 5
+    holds = _relation("congruence", ((S,),))
+    assert identities._run_relation(holds, {"p": 5, "offset": 4}, 60, "enum") is None
+    assert identities._run_relation(holds, {"p": 5, "offset": 4}, 200, "series") is None

@@ -2,14 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from partlab.errors import InvalidPartitionError
-from partlab.partition import (
-    Partition,
-    format_partition,
-    make_partition,
-    multiplicity,
-    multiset_union,
-    parse_partition,
-)
+from partlab.partition import Partition, format_partition, parse_partition
 
 pair_lists = st.lists(
     st.tuples(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=9)),
@@ -19,84 +12,84 @@ pair_lists = st.lists(
 
 def test_compact_notation_example():
     # 14+14+10+10+7+7+7+1+1+1+1 = 73
-    p = make_partition([(14, 2), (10, 2), (7, 3), (1, 4)])
+    p = Partition([(14, 2), (10, 2), (7, 3), (1, 4)])
     assert p.weight == 73
     assert p.pairs == ((14, 2), (10, 2), (7, 3), (1, 4))
 
 
 def test_empty_partition():
-    p = make_partition([])
+    p = Partition([])
     assert p.weight == 0
     assert p.pairs == ()
     assert p.is_empty()
 
 
 def test_merge_duplicates_and_sort():
-    p = make_partition([(2, 1), (2, 2), (5, 1)])
+    p = Partition([(2, 1), (2, 2), (5, 1)])
     assert p.pairs == ((5, 1), (2, 3))
     assert p.weight == 11
 
 
 def test_zero_multiplicity_dropped():
-    assert make_partition([(3, 0), (2, 1)]).pairs == ((2, 1),)
+    assert Partition([(3, 0), (2, 1)]).pairs == ((2, 1),)
 
 
 @pytest.mark.parametrize("bad", [[(0, 1)], [(-3, 2)], [(2, -1)], [("x", 1)], [(2.5, 1)]])
 def test_invalid_input_rejected(bad):
     with pytest.raises(InvalidPartitionError):
-        make_partition(bad)
+        Partition(bad)
 
 
 def test_union_simple():
-    a = make_partition([(2, 2)])
-    b = make_partition([(2, 1), (1, 1)])
-    assert multiset_union(a, b).pairs == ((2, 3), (1, 1))
+    a = Partition([(2, 2)])
+    b = Partition([(2, 1), (1, 1)])
+    assert a.union(b).pairs == ((2, 3), (1, 1))
 
 
 def test_union_disjoint_blocks():
     a = parse_partition("21^8")
     b = parse_partition("13^10,10^5,6^2,4^5,1^11")
-    assert format_partition(multiset_union(a, b)) == "21^8,13^10,10^5,6^2,4^5,1^11"
+    assert format_partition(a.union(b)) == "21^8,13^10,10^5,6^2,4^5,1^11"
 
 
 def test_union_identity_element():
     x = parse_partition("9^2,4")
-    assert multiset_union(x, Partition()) == x
+    assert x.union(Partition()) == x
 
 
 def test_multiplicity_lookup():
-    p = make_partition([(7, 30)])
-    assert multiplicity(p, 7) == 30
-    assert multiplicity(p, 5) == 0
-    assert multiplicity(Partition(), 1) == 0
+    p = Partition([(7, 30)])
+    assert p.multiplicity(7) == 30
+    assert p.multiplicity(5) == 0
+    assert Partition().multiplicity(1) == 0
     with pytest.raises(InvalidPartitionError):
-        multiplicity(p, 0)
+        p.multiplicity(0)
 
 
 @given(pair_lists)
-def test_make_partition_idempotent(pairs):
-    once = make_partition(pairs)
-    again = make_partition(once.pairs)
+def test_canonicalization_idempotent(pairs):
+    once = Partition(pairs)
+    again = Partition(once.pairs)
     assert once == again
     assert once.weight == again.weight
 
 
 @given(pair_lists, pair_lists)
 def test_union_commutative_and_additive(xs, ys):
-    a, b = make_partition(xs), make_partition(ys)
-    assert multiset_union(a, b) == multiset_union(b, a)
-    assert multiset_union(a, b).weight == a.weight + b.weight
+    a, b = Partition(xs), Partition(ys)
+    assert a.union(b) == b.union(a)
+    assert a.union(b).weight == a.weight + b.weight
 
 
 @given(pair_lists, pair_lists, pair_lists)
 def test_union_associative(xs, ys, zs):
-    a, b, c = make_partition(xs), make_partition(ys), make_partition(zs)
-    assert multiset_union(multiset_union(a, b), c) == multiset_union(a, multiset_union(b, c))
+    a, b, c = Partition(xs), Partition(ys), Partition(zs)
+    assert a.union(b).union(c) == a.union(b.union(c))
 
 
 @given(pair_lists)
 def test_text_round_trip(pairs):
-    p = make_partition(pairs)
+    p = Partition(pairs)
     assert parse_partition(format_partition(p)) == p
 
 
