@@ -1,8 +1,10 @@
 """Exhaustive generation of partitions of n under multiplicity constraints.
 
-This is the brute-force oracle substrate: every counting family can be
-evaluated by sweeping these streams.  Generation order is deterministic
-(lexicographically decreasing part sequences) so diffs stay stable.
+This is the brute-force oracle substrate: every counting family is evaluated
+by one sum over these sequences.  A single kernel generates them, cached as a
+tuple for small n and streamed above that, with one interned ``(part, mult)``
+tuple per value.  Generation order is deterministic (lexicographically
+decreasing part sequences) so diffs stay stable.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .partition import Pair, Partition
 DEFAULT_CAP = 80
 CAP_ENV_VAR = "PARTLAB_MAX_N"
 
-# Full partition lists are memoized up to this weight; larger requests stream.
+# Sequences are memoized up to this weight; larger requests stream.
 _CACHE_LIMIT = 40
 
 PairSeq = tuple[Pair, ...]
@@ -74,83 +76,58 @@ def _check_request(n: int, cap: int | None) -> None:
         )
 
 
-def _build_list(n: int, bound: int | None) -> tuple[PairSeq, ...]:
-    """All constrained partitions of n as canonical pair tuples, in
-    lexicographically decreasing order of the part sequence."""
-    out: list[PairSeq] = []
-    pool: dict[Pair, Pair] = {}
+_cache: dict[tuple[int, int | None], tuple[PairSeq, ...]] = {}
 
-    def pair(p: int, m: int) -> Pair:
-        key = (p, m)
-        got = pool.get(key)
-        if got is None:
-            pool[key] = got = key
-        return got
 
+def _walk(n: int, bound: int | None) -> Iterator[PairSeq]:
+    """Every constrained partition of n as a canonical pair tuple, in
+    lexicographically decreasing order of the part sequence.
+
+    Pairs are interned per call: ``rows[part][mult]`` holds the one
+    ``(part, mult)`` tuple that every yielded sequence shares.
+    """
+    if n == 0:
+        yield ()
+        return
+    rows = [()] + [tuple((part, mult) for mult in range(n // part + 1)) for part in range(1, n + 1)]
     prefix: list[Pair] = []
 
-    def rec(remaining: int, max_part: int) -> None:
+    def rec(remaining: int, max_part: int) -> Iterator[PairSeq]:
         top = remaining if remaining < max_part else max_part
         for part in range(top, 1, -1):
+            row = rows[part]
             most = remaining // part
             if bound is not None and most > bound:
                 most = bound
             for mult in range(most, 0, -1):
                 rest = remaining - part * mult
-                prefix.append(pair(part, mult))
+                prefix.append(row[mult])
                 if rest == 0:
-                    out.append(tuple(prefix))
+                    yield tuple(prefix)
                 else:
-                    rec(rest, part - 1)
+                    yield from rec(rest, part - 1)
                 prefix.pop()
         if bound is None or remaining <= bound:
-            prefix.append(pair(1, remaining))
-            out.append(tuple(prefix))
+            prefix.append(rows[1][remaining])
+            yield tuple(prefix)
             prefix.pop()
 
-    if n == 0:
-        return ((),)
-    rec(n, n)
-    return tuple(out)
-
-
-_cache: dict[tuple[int, int | None], tuple[PairSeq, ...]] = {}
-
-
-def _stream(remaining: int, max_part: int, bound: int | None, prefix: list[Pair]) -> Iterator[PairSeq]:
-    top = remaining if remaining < max_part else max_part
-    for part in range(top, 1, -1):
-        most = remaining // part
-        if bound is not None and most > bound:
-            most = bound
-        for mult in range(most, 0, -1):
-            rest = remaining - part * mult
-            prefix.append((part, mult))
-            if rest == 0:
-                yield tuple(prefix)
-            else:
-                yield from _stream(rest, part - 1, bound, prefix)
-            prefix.pop()
-    if bound is None or remaining <= bound:
-        prefix.append((1, remaining))
-        yield tuple(prefix)
-        prefix.pop()
+    yield from rec(n, n)
 
 
 def pair_sequences(n: int, kind: EnumKind = ALL, cap: int | None = None) -> Iterable[PairSeq]:
-    """Low-overhead enumeration path: canonical pair tuples instead of
-    Partition objects.  Cached (and reusable) for small n, streamed otherwise."""
+    """Canonical pair tuples of every weight-n partition of the kind, from the
+    one kernel ``_walk``: a tuple cached per (n, bound) and reusable for
+    n <= _CACHE_LIMIT, the live generator (single pass) above it.  Either way
+    the pairs are interned, so cached sequences share their pair objects."""
     _check_request(n, cap)
-    bound = kind.bound
-    if n <= _CACHE_LIMIT:
-        key = (n, bound)
-        got = _cache.get(key)
-        if got is None:
-            _cache[key] = got = _build_list(n, bound)
-        return got
-    if n == 0:
-        return ((),)
-    return _stream(n, n, bound, [])
+    if n > _CACHE_LIMIT:
+        return _walk(n, kind.bound)
+    key = (n, kind.bound)
+    got = _cache.get(key)
+    if got is None:
+        _cache[key] = got = tuple(_walk(n, kind.bound))
+    return got
 
 
 def generate(n: int, kind: EnumKind = ALL, cap: int | None = None) -> Iterator[Partition]:
@@ -162,8 +139,3 @@ def generate(n: int, kind: EnumKind = ALL, cap: int | None = None) -> Iterator[P
     raw = Partition._raw
     for pairs in pair_sequences(n, kind, cap):
         yield raw(pairs, n)
-
-
-def clear_cache() -> None:
-    """Drop memoized enumeration lists (mainly for tests)."""
-    _cache.clear()

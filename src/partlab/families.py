@@ -14,7 +14,7 @@ from typing import Callable, Mapping
 
 from . import enumeration, numtheory, qseries
 from .enumeration import ALL, DISTINCT, EnumKind, multiplicity_at_most
-from .errors import DomainError, ResourceLimitError, UnknownFamilyError, UnsupportedFamilyError
+from .errors import DomainError, UnknownFamilyError, UnsupportedFamilyError
 from .partition import Pair, Partition
 
 Params = Mapping[str, int]
@@ -522,18 +522,9 @@ def count_enum(family: str, n: int, params: Params | None = None, cap: int | Non
                     for coef, sub in spec.combine)
     else:
         kind = spec.enum_kind(norm) if spec.enum_kind is not None else ALL
-        seqs = enumeration.pair_sequences(n, kind, cap)
-        if spec.kind == "class":
-            pred = spec.make_pred(*_spec_args(spec, norm))
-            value = 0
-            for pairs in seqs:
-                if pred(pairs):
-                    value += 1
-        else:
-            stat = spec.make_stat(*_spec_args(spec, norm))
-            value = 0
-            for pairs in seqs:
-                value += stat(pairs)
+        # A class predicate's True counts as 1; a statistic adds its value.
+        fold = (spec.make_pred if spec.kind == "class" else spec.make_stat)(*_spec_args(spec, norm))
+        value = sum(map(fold, enumeration.pair_sequences(n, kind, cap)))
     _enum_memo[key] = value
     return value
 
@@ -561,10 +552,7 @@ def count_series(family: str, n: int, params: Params | None = None, order: int |
         raise DomainError(f"index must be nonnegative, got {n}")
     if order is not None and order < n:
         raise DomainError(f"series order {order} is below the requested index {n}")
-    series = series_for(family, params, n if order is None else order)
-    if n > series.order:
-        raise ResourceLimitError(f"coefficient {n} beyond series order {series.order}")
-    return series.coeffs[n]
+    return series_for(family, params, n if order is None else order).coeffs[n]
 
 
 def membership(family: str, params: Params | None = None) -> Callable[[Partition], bool]:
@@ -696,11 +684,3 @@ def closed_form_cells() -> tuple[tuple[str, dict[str, int]], ...]:
                 cells.append(("g_alpha_odd", {"alpha": alpha, "k": k, "p": p}))
                 cells.append(("g_alpha_even", {"alpha": alpha, "k": k, "p": p}))
     return tuple(cells)
-
-
-def clear_caches() -> None:
-    """Drop memoized counts and cached series (mainly for tests)."""
-    _enum_memo.clear()
-    _series_cache.clear()
-    _recurrence_memo.clear()
-    _recurrence_memo[0] = 0

@@ -64,24 +64,17 @@ def sets_AB(r: int) -> tuple[frozenset[int], frozenset[int]]:
     """Index sets A(r) = {j >= 1 : 2j(3j+1) = r mod 4 and 2j(3j+1) <= r} and
     B(r) with 2j(3j-1) in place of 2j(3j+1).
 
-    The inequality form is used instead of floating-point floor bounds; the
-    two characterizations agree (covered by tests).
+    2j(3j +- 1) is 4 times the pentagonal exponent j(3j +- 1)/2, so both sets
+    are empty unless 4 divides r, and then hold every j whose exponent is at
+    most r/4.  The floor-bound characterization agrees (covered by tests).
     """
     if r < 0:
         raise DomainError(f"sets_AB expects r >= 0, got {r}")
-    a = set()
-    j = 1
-    while 2 * j * (3 * j + 1) <= r:
-        if (2 * j * (3 * j + 1) - r) % 4 == 0:
-            a.add(j)
-        j += 1
-    b = set()
-    j = 1
-    while 2 * j * (3 * j - 1) <= r:
-        if (2 * j * (3 * j - 1) - r) % 4 == 0:
-            b.add(j)
-        j += 1
-    return frozenset(a), frozenset(b)
+    if r % 4:
+        return frozenset(), frozenset()
+    m = r // 4
+    terms = pentagonal_terms(m)
+    return frozenset(t.j for t in terms if t.exponent_plus <= m), frozenset(t.j for t in terms)
 
 
 def gamma(n: int) -> int:
@@ -90,14 +83,15 @@ def gamma(n: int) -> int:
         sigma0(n/4) + sum over A(n) of (-1)^j sigma0((n - 2j(3j+1))/4)
                     + sum over B(n) of (-1)^j sigma0((n - 2j(3j-1))/4)
 
-    with sigma0(0) = 0.
+    with sigma0(0) = 0; each (n - 2j(3j +- 1))/4 is n/4 minus a pentagonal
+    exponent.
     """
     if n < 1 or n % 4 != 0:
         raise DomainError(f"gamma is defined for positive multiples of 4, got {n}")
-    a, b = sets_AB(n)
-    total = sigma0(n // 4)
-    for j in a:
-        total += (-1 if j % 2 else 1) * sigma0((n - 2 * j * (3 * j + 1)) // 4)
-    for j in b:
-        total += (-1 if j % 2 else 1) * sigma0((n - 2 * j * (3 * j - 1)) // 4)
+    m = n // 4
+    total = sigma0(m)
+    for term in pentagonal_terms(m):
+        for e in (term.exponent_minus, term.exponent_plus):
+            if e <= m:
+                total += term.sign * sigma0(m - e)
     return total

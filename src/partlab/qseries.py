@@ -150,6 +150,15 @@ def pochhammer_plus(offset: int, step: int, order: int) -> Series:
     return Series(c)
 
 
+def _accumulate_geometric(c: list[int], numer_exp: int, denom_exp: int, sign: int = 1) -> None:
+    """Add q^numer_exp / (1 - sign*q^denom_exp) into a coefficient list."""
+    order = len(c) - 1
+    s = 1
+    for e in range(numer_exp, order + 1, denom_exp):
+        c[e] += s
+        s *= sign
+
+
 def lambert(offset: int, step: int, sign: int, order: int) -> Series:
     """Sum over m >= 0 of q^e / (1 - sign*q^e) with e = offset + m*step.
 
@@ -161,23 +170,9 @@ def lambert(offset: int, step: int, sign: int, order: int) -> Series:
     if sign not in (1, -1):
         raise DomainError(f"lambert sign must be +1 or -1, got {sign}")
     c = [0] * (order + 1)
-    e = offset
-    while e <= order:
-        s = 1
-        for m in range(e, order + 1, e):
-            c[m] += s
-            s *= sign
-        e += step
+    for e in range(offset, order + 1, step):
+        _accumulate_geometric(c, e, e, sign)
     return Series(c)
-
-
-def _accumulate_geometric(c: list[int], numer_exp: int, denom_exp: int, sign: int = 1) -> None:
-    """Add q^numer_exp / (1 - sign*q^denom_exp) into a coefficient list."""
-    order = len(c) - 1
-    s = 1
-    for e in range(numer_exp, order + 1, denom_exp):
-        c[e] += s
-        s *= sign
 
 
 def pentagonal_series(order: int) -> Series:
@@ -208,41 +203,38 @@ def cube_series(order: int) -> Series:
 # ---------------------------------------------------------------------------
 
 
-def _poch_ratio(m: int, order: int) -> Series:
-    """(product of 1 - q^(m*i)) / (product of 1 - q^i): the generating
-    function of partitions with no part divisible by m."""
-    return mul(pochhammer(m, m, order), inverse(pochhammer(1, 1, order)))
+def _poch_ratio(offset: int, step: int, order: int) -> Series:
+    """(product of 1 - q^(offset + step*i)) / (product of 1 - q^j): partitions
+    avoiding the residue class offset mod step (with offset = step: no part
+    divisible by step)."""
+    return mul(pochhammer(offset, step, order), inverse(pochhammer(1, 1, order)))
 
 
 def _gf_unrestricted(order: int) -> Series:
     return inverse(pochhammer(1, 1, order))
 
 
-def _gf_distinct_even_stat(order: int, p: int = 2, r: int = 0) -> Series:
+def _gf_a_r(order: int, p: int, r: int) -> Series:
     """Total count of parts in residue class -r mod p over distinct
     partitions: (product of 1 + q^j) times a signed Lambert-type sum."""
     return mul(pochhammer_plus(1, 1, order), lambert(p - r, p, -1, order))
 
 
-def _gf_a_r(order: int, p: int, r: int) -> Series:
-    return _gf_distinct_even_stat(order, p, r)
-
-
 def _gf_a_np(order: int, p: int) -> Series:
     halo = add(lambert(p, p, 1, order), scale(lambert(p * p, p * p, 1, order), -p))
-    return mul(_poch_ratio(p, order), halo)
+    return mul(_poch_ratio(p, p, order), halo)
 
 
 def _gf_o_p(order: int, p: int) -> Series:
-    return mul(_poch_ratio(p, order), lambert(p, p, 1, order))
+    return mul(_poch_ratio(p, p, order), lambert(p, p, 1, order))
 
 
 def _gf_o_p_odd(order: int, p: int) -> Series:
-    return mul(_poch_ratio(p, order), lambert(p, 2 * p, 1, order))
+    return mul(_poch_ratio(p, p, order), lambert(p, 2 * p, 1, order))
 
 
 def _gf_o_p_even(order: int, p: int) -> Series:
-    return mul(_poch_ratio(p, order), lambert(2 * p, 2 * p, 1, order))
+    return mul(_poch_ratio(p, p, order), lambert(2 * p, 2 * p, 1, order))
 
 
 def _gf_h(order: int, p: int, i: int) -> Series:
@@ -256,13 +248,7 @@ def _gf_h(order: int, p: int, i: int) -> Series:
 def _gf_f_pkr(order: int, p: int, k: int, r: int) -> Series:
     # Singleton residue class k*r mod p*k; for r=0 the class starts at p*k.
     c = k * r if r else p * k
-    return mul(_poch_ratio_offset(c, p * k, order), lambert(c, p * k, 1, order))
-
-
-def _poch_ratio_offset(offset: int, step: int, order: int) -> Series:
-    """(product of 1 - q^(offset + step*i)) / (product of 1 - q^j): partitions
-    avoiding the residue class offset mod step."""
-    return mul(pochhammer(offset, step, order), inverse(pochhammer(1, 1, order)))
+    return mul(_poch_ratio(c, p * k, order), lambert(c, p * k, 1, order))
 
 
 def _gf_d_e(order: int) -> Series:
@@ -274,7 +260,7 @@ def _gf_d_o(order: int) -> Series:
 
 
 def _gf_g_alpha_signed(order: int, alpha: int, k: int, p: int) -> Series:
-    return mul(_poch_ratio(k, order), lambert(alpha, p, -1, order))
+    return mul(_poch_ratio(k, k, order), lambert(alpha, p, -1, order))
 
 
 def _gf_g_alpha_parity(order: int, alpha: int, k: int, p: int, parity: int) -> Series:
@@ -285,7 +271,7 @@ def _gf_g_alpha_parity(order: int, alpha: int, k: int, p: int, parity: int) -> S
     while alpha * n <= order:
         _accumulate_geometric(c, alpha * n, p * n)
         n += 2
-    return mul(_poch_ratio(k, order), Series(c))
+    return mul(_poch_ratio(k, k, order), Series(c))
 
 
 def _gf_g_alpha_odd(order: int, alpha: int, k: int, p: int) -> Series:

@@ -31,6 +31,11 @@ def test_count_series_values():
         count_series("s", 5, order=4)  # an explicit order must cover n
 
 
+def test_count_series_beyond_default_order():
+    # n above qseries.DEFAULT_ORDER builds the series to n itself.
+    assert count_series("s", 250) == 230793554364681
+
+
 def test_count_series_unsupported():
     with pytest.raises(UnsupportedFamilyError):
         count_series("b", 5)
