@@ -1,17 +1,25 @@
 """Exhaustive generation of partitions of n under multiplicity constraints.
 
-This is the brute-force oracle substrate: every counting family is evaluated
-by one sum over these sequences.  A single kernel generates them, cached as a
-tuple for small n and streamed above that, with one interned ``(part, mult)``
-tuple per value.  Generation order is deterministic (lexicographically
-decreasing part sequences) so diffs stay stable.
+This is the brute-force oracle substrate.  Counting goes through one pruned
+walk, ``fold_table``: a depth-first pass over decreasing (part, multiplicity)
+prefixes that visits every constrained partition of weight <= N once, folds
+each family's per-pair step along the way and adds its value into the table
+at the prefix's weight, so one pass fills n = 0..N.  A step that can no longer
+qualify cuts the whole subtree.  The walk uses no generating-function
+knowledge.
+
+``pair_sequences`` materialises the canonical pair tuples of one weight for
+the paths that need the partitions themselves (``generate`` and class
+enumeration): a tuple cached for small n and streamed above that, with one
+interned ``(part, mult)`` tuple per value.  Generation order is deterministic
+(lexicographically decreasing part sequences) so diffs stay stable.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import DomainError, ResourceLimitError
 from .partition import Pair, Partition
@@ -23,6 +31,11 @@ CAP_ENV_VAR = "PARTLAB_MAX_N"
 _CACHE_LIMIT = 40
 
 PairSeq = tuple[Pair, ...]
+
+# A fold is (init, step, value): step(state, part, mult) gives the next state,
+# or None once no extension of the prefix can qualify; value(state) is what
+# the prefix contributes at its weight.
+Fold = tuple[Any, Callable[[Any, int, int], Any], Callable[[Any], int]]
 
 
 @dataclass(frozen=True)
@@ -139,3 +152,35 @@ def generate(n: int, kind: EnumKind = ALL, cap: int | None = None) -> Iterator[P
     raw = Partition._raw
     for pairs in pair_sequences(n, kind, cap):
         yield raw(pairs, n)
+
+
+def fold_table(n: int, bound: int | None, fold: Fold) -> tuple[int, ...]:
+    """Sum of the fold's value over every constrained partition of each
+    weight 0..n, in one depth-first pass.
+
+    Every prefix of decreasing (part, mult) pairs is itself a partition, so
+    each node adds its value at its own weight.  A dead step skips only that
+    multiplicity: the next one may qualify again.
+    """
+    init, step, value = fold
+    table = [0] * (n + 1)
+    table[0] = value(init)
+
+    def rec(weight: int, top: int, state: Any) -> None:
+        room = n - weight
+        for part in range(top, 0, -1):
+            most = room // part
+            if bound is not None and most > bound:
+                most = bound
+            w = weight
+            for mult in range(1, most + 1):
+                w += part
+                nxt = step(state, part, mult)
+                if nxt is None:
+                    continue
+                table[w] += value(nxt)
+                if part > 1 and w < n:
+                    rec(w, min(part - 1, n - w), nxt)
+
+    rec(0, n, init)
+    return tuple(table)

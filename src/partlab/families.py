@@ -13,205 +13,120 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from . import enumeration, numtheory, qseries
-from .enumeration import ALL, DISTINCT, EnumKind, multiplicity_at_most
+from .enumeration import ALL, DISTINCT, EnumKind, Fold, multiplicity_at_most
 from .errors import DomainError, UnknownFamilyError, UnsupportedFamilyError
 from .partition import Pair, Partition
 
 Params = Mapping[str, int]
 PairSeq = tuple[Pair, ...]
-Predicate = Callable[[PairSeq], bool]
-Statistic = Callable[[PairSeq], int]
 
 
 # ---------------------------------------------------------------------------
-# Predicates and statistics over canonical pair tuples
+# One fold per family over (part, mult) pairs in decreasing part order
 # ---------------------------------------------------------------------------
+#
+# A fold is (init, step, value), see enumeration.Fold.  A class fold's value
+# is 1 or 0, and its step returns None as soon as no extension can qualify;
+# most class states are 0/1 for "the one marked part value has been seen".
+# A statistic's state is its running total, and it never dies.
 
 
-def _pred_true() -> Predicate:
-    return lambda pairs: True
+def _identity(state: int) -> int:
+    return state
 
 
-def _pred_exactly_one_repeated_parity(parity: int) -> Predicate:
-    # Exactly one part value has multiplicity >= 2, all others appear once;
-    # the repeated value has the requested parity (1 odd, 0 even).
-    def pred(pairs: PairSeq) -> bool:
-        repeated = 0
-        for part, mult in pairs:
-            if mult >= 2:
-                if repeated:
-                    return False
-                repeated = part
-        return repeated != 0 and repeated % 2 == parity
-
-    return pred
+def _fold_all() -> Fold:
+    return 1, lambda state, part, mult: 1, _identity
 
 
-def _pred_singleton_even_set_parity(parity: int | None) -> Predicate:
-    # The set of even part values is a singleton; parity (if given) applies
-    # to the number of parts counted with multiplicity.
-    def pred(pairs: PairSeq) -> bool:
-        evens = 0
-        total = 0
-        for part, mult in pairs:
-            total += mult
-            if part % 2 == 0:
-                evens += 1
-                if evens > 1:
-                    return False
-        if evens != 1:
-            return False
-        return parity is None or total % 2 == parity
+def _fold_singleton_even_set_parity(parity: int) -> Fold:
+    # The set of even part values is a singleton, and the number of parts
+    # counted with multiplicity has the given parity.  State: 2 per even
+    # value seen plus the parity of the part count so far.
+    def step(state: int, part: int, mult: int) -> int | None:
+        if part % 2 == 0:
+            if state >= 2:
+                return None
+            state += 2
+        return state ^ (mult & 1)
 
-    return pred
+    return 0, step, lambda state: int(state == 2 + parity)
 
 
-def _pred_g_r(p: int, r: int, parity: int) -> Predicate:
-    # Exactly one repeated part (others distinct); its multiplicity m is
-    # >= p - r with m mod p in {-r, -r+1}; the repeated value has the given
-    # parity.
-    min_mult = p - r
-    res_a = (-r) % p
-    res_b = (1 - r) % p
+def _fold_o_p(p: int, mult_parity: int) -> Fold:
+    # The set of part values divisible by p is a singleton, and the number of
+    # divisible parts counted with multiplicity has the given parity.
+    def step(seen: int, part: int, mult: int) -> int | None:
+        if part % p:
+            return seen
+        return None if seen or mult % 2 != mult_parity else 1
 
-    def pred(pairs: PairSeq) -> bool:
-        rep_part = 0
-        rep_mult = 0
-        for part, mult in pairs:
-            if mult >= 2:
-                if rep_part:
-                    return False
-                rep_part, rep_mult = part, mult
-        if not rep_part or rep_part % 2 != parity:
-            return False
-        if rep_mult < min_mult:
-            return False
-        rm = rep_mult % p
-        return rm == res_a or rm == res_b
-
-    return pred
+    return 0, step, _identity
 
 
-def _pred_o_p(p: int, mult_parity: int | None = None) -> Predicate:
-    # The set of part values divisible by p is a singleton; mult_parity (if
-    # given) applies to the number of divisible parts counted with
-    # multiplicity.
-    def pred(pairs: PairSeq) -> bool:
-        hits = 0
-        hit_mult = 0
-        for part, mult in pairs:
-            if part % p == 0:
-                hits += 1
-                if hits > 1:
-                    return False
-                hit_mult = mult
-        if hits != 1:
-            return False
-        return mult_parity is None or hit_mult % 2 == mult_parity
-
-    return pred
-
-
-def _pred_h(p: int, i: int) -> Predicate:
+def _fold_h(p: int, i: int) -> Fold:
     # Parts are either not divisible by p, or lie in the residue class
     # i mod 2p; the set of parts in that class is a singleton.
     two_p = 2 * p
 
-    def pred(pairs: PairSeq) -> bool:
-        hits = 0
-        for part, mult in pairs:
-            if part % p == 0:
-                if part % two_p != i:
-                    return False
-                hits += 1
-                if hits > 1:
-                    return False
-        return hits == 1
+    def step(seen: int, part: int, mult: int) -> int | None:
+        if part % p:
+            return seen
+        return None if seen or part % two_p != i else 1
 
-    return pred
+    return 0, step, _identity
 
 
-def _pred_one_heavy_in_residue(p: int, k: int, r: int) -> Predicate:
+def _fold_one_heavy_in_residue(p: int, k: int, r: int) -> Fold:
     # Exactly one part value in residue class r mod p has multiplicity >= k;
     # the other values in that class stay below k; everything else is free.
-    def pred(pairs: PairSeq) -> bool:
-        heavy = 0
-        for part, mult in pairs:
-            if part % p == r and mult >= k:
-                heavy += 1
-                if heavy > 1:
-                    return False
-        return heavy == 1
+    def step(seen: int, part: int, mult: int) -> int | None:
+        if mult < k or part % p != r:
+            return seen
+        return None if seen else 1
 
-    return pred
+    return 0, step, _identity
 
 
-def _pred_singleton_residue(modulus: int, residue: int) -> Predicate:
+def _fold_singleton_residue(modulus: int, residue: int) -> Fold:
     # The set of part values in the residue class is a singleton.
-    def pred(pairs: PairSeq) -> bool:
-        hits = 0
-        for part, _ in pairs:
-            if part % modulus == residue:
-                hits += 1
-                if hits > 1:
-                    return False
-        return hits == 1
+    def step(seen: int, part: int, mult: int) -> int | None:
+        if part % modulus != residue:
+            return seen
+        return None if seen else 1
 
-    return pred
+    return 0, step, _identity
 
 
-def _pred_d_k(k: int) -> Predicate:
-    # Exactly one part value appears at least k times, all others fewer.
-    def pred(pairs: PairSeq) -> bool:
-        heavy = 0
-        for _, mult in pairs:
-            if mult >= k:
-                heavy += 1
-                if heavy > 1:
-                    return False
-        return heavy == 1
-
-    return pred
-
-
-def _pred_g_alpha(alpha: int, k: int, p: int, parity: int) -> Predicate:
+def _fold_g_alpha(alpha: int, k: int, p: int, parity: int) -> Fold:
     # Exactly one part value appears >= alpha times and its multiplicity m
     # satisfies (m - alpha) mod p < k; all other values appear at most k-1
-    # times; the heavy value has the given parity.
-    def pred(pairs: PairSeq) -> bool:
-        heavy_part = 0
-        heavy_mult = 0
-        for part, mult in pairs:
-            if mult >= alpha:
-                if heavy_part:
-                    return False
-                heavy_part, heavy_mult = part, mult
-            elif mult >= k:
-                return False
-        if not heavy_part or heavy_part % 2 != parity:
-            return False
-        return (heavy_mult - alpha) % p < k
+    # times; the heavy value has the given parity.  A multiplicity in
+    # [k, alpha) dies although a larger one may qualify.  The repeated-part
+    # classes are the k = 2 cases: c_o/c_e at alpha = 2, p = 1, and g_r at
+    # alpha = p - r, where (m - alpha) mod p < 2 puts m in {-r, -r+1} mod p.
+    def step(seen: int, part: int, mult: int) -> int | None:
+        if mult < k:
+            return seen
+        if seen or mult < alpha or part % 2 != parity or (mult - alpha) % p >= k:
+            return None
+        return 1
 
-    return pred
+    return 0, step, _identity
 
 
-def _pred_no_part_divisible(t: int) -> Predicate:
-    def pred(pairs: PairSeq) -> bool:
-        for part, _ in pairs:
-            if part % t == 0:
-                return False
-        return True
-
-    return pred
+def _fold_no_part_divisible(t: int) -> Fold:
+    return 1, lambda state, part, mult: None if part % t == 0 else 1, _identity
 
 
-def _stat_parts_in_residue(p: int, r: int) -> Statistic:
+def _fold_parts_in_residue(p: int, r: int) -> Fold:
+    # Statistic: the number of parts, with multiplicity, in class -r mod p.
     target = (-r) % p
 
-    def stat(pairs: PairSeq) -> int:
-        return sum(mult for part, mult in pairs if part % p == target)
+    def step(total: int, part: int, mult: int) -> int:
+        return total + mult if part % p == target else total
 
-    return stat
+    return 0, step, _identity
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +142,7 @@ class FamilySpec:
     description: str
     validate: Callable[[dict], None] | None = None
     enum_kind: Callable[[dict], EnumKind] | None = None
-    make_pred: Callable[..., Predicate] | None = None
-    make_stat: Callable[..., Statistic] | None = None
+    make_fold: Callable[..., Fold] | None = None
     combine: tuple[tuple[int, str], ...] = field(default_factory=tuple)
 
     @property
@@ -285,20 +199,20 @@ def _register(spec: FamilySpec) -> None:
 _register(FamilySpec(
     "s", "class", (),
     "number of unrestricted partitions",
-    make_pred=_pred_true,
+    make_fold=_fold_all,
 ))
 _register(FamilySpec(
     "a", "stat", (),
     "total number of even parts over partitions into distinct parts",
     enum_kind=lambda p: DISTINCT,
-    make_stat=lambda: _stat_parts_in_residue(2, 0),
+    make_fold=lambda: _fold_parts_in_residue(2, 0),
 ))
 _register(FamilySpec(
     "a_r", "stat", ("p", "r"),
     "total number of parts in residue class -r mod p over distinct partitions",
     validate=_validate_a_r,
     enum_kind=lambda p: DISTINCT,
-    make_stat=_stat_parts_in_residue,
+    make_fold=_fold_parts_in_residue,
 ))
 _register(FamilySpec(
     "a_np", "stat", ("p",),
@@ -306,17 +220,17 @@ _register(FamilySpec(
     "multiplicity at most p-1",
     validate=_validate_p2,
     enum_kind=lambda p: multiplicity_at_most(p["p"] - 1),
-    make_stat=lambda p: _stat_parts_in_residue(p, 0),
+    make_fold=lambda p: _fold_parts_in_residue(p, 0),
 ))
 _register(FamilySpec(
     "c_o", "class", (),
     "exactly one part repeated, that part odd, all other parts distinct",
-    make_pred=lambda: _pred_exactly_one_repeated_parity(1),
+    make_fold=lambda: _fold_g_alpha(2, 2, 1, 1),
 ))
 _register(FamilySpec(
     "c_e", "class", (),
     "exactly one part repeated, that part even, all other parts distinct",
-    make_pred=lambda: _pred_exactly_one_repeated_parity(0),
+    make_fold=lambda: _fold_g_alpha(2, 2, 1, 0),
 ))
 _register(FamilySpec(
     "c", "derived", (),
@@ -326,12 +240,12 @@ _register(FamilySpec(
 _register(FamilySpec(
     "b_o", "class", (),
     "odd number of parts, the set of even part values is a singleton",
-    make_pred=lambda: _pred_singleton_even_set_parity(1),
+    make_fold=lambda: _fold_singleton_even_set_parity(1),
 ))
 _register(FamilySpec(
     "b_e", "class", (),
     "even number of parts, the set of even part values is a singleton",
-    make_pred=lambda: _pred_singleton_even_set_parity(0),
+    make_fold=lambda: _fold_singleton_even_set_parity(0),
 ))
 _register(FamilySpec(
     "b", "derived", (),
@@ -348,14 +262,14 @@ _register(FamilySpec(
     "exactly one repeated part, odd, with multiplicity >= p-r and congruent "
     "to -r or -r+1 mod p; other parts distinct",
     validate=_validate_a_r,
-    make_pred=lambda p, r: _pred_g_r(p, r, 1),
+    make_fold=lambda p, r: _fold_g_alpha(p - r, 2, p, 1),
 ))
 _register(FamilySpec(
     "g_r_even", "class", ("p", "r"),
     "exactly one repeated part, even, with multiplicity >= p-r and congruent "
     "to -r or -r+1 mod p; other parts distinct",
     validate=_validate_a_r,
-    make_pred=lambda p, r: _pred_g_r(p, r, 0),
+    make_fold=lambda p, r: _fold_g_alpha(p - r, 2, p, 0),
 ))
 _register(FamilySpec(
     "g_r", "derived", ("p", "r"),
@@ -367,79 +281,79 @@ _register(FamilySpec(
     "o_p", "class", ("p",),
     "the set of part values divisible by p is a singleton",
     validate=_validate_p2,
-    make_pred=lambda p: _pred_o_p(p),
+    make_fold=lambda p: _fold_singleton_residue(p, 0),
 ))
 _register(FamilySpec(
     "o_p_odd", "class", ("p",),
     "singleton divisible-value set with an odd number of divisible parts",
     validate=_validate_p2,
-    make_pred=lambda p: _pred_o_p(p, 1),
+    make_fold=lambda p: _fold_o_p(p, 1),
 ))
 _register(FamilySpec(
     "o_p_even", "class", ("p",),
     "singleton divisible-value set with an even number of divisible parts",
     validate=_validate_p2,
-    make_pred=lambda p: _pred_o_p(p, 0),
+    make_fold=lambda p: _fold_o_p(p, 0),
 ))
 _register(FamilySpec(
     "h", "class", ("p", "i"),
     "parts not divisible by p are free, parts in class i mod 2p form a "
     "singleton set, all other multiples of p are forbidden",
     validate=_validate_h,
-    make_pred=_pred_h,
+    make_fold=_fold_h,
 ))
 _register(FamilySpec(
     "d_e", "class", (),
     "exactly one even part repeated, other even parts distinct, odd parts free",
-    make_pred=lambda: _pred_one_heavy_in_residue(2, 2, 0),
+    make_fold=lambda: _fold_one_heavy_in_residue(2, 2, 0),
 ))
 _register(FamilySpec(
     "d_o", "class", (),
     "exactly one odd part repeated, other odd parts distinct, even parts free",
-    make_pred=lambda: _pred_one_heavy_in_residue(2, 2, 1),
+    make_fold=lambda: _fold_one_heavy_in_residue(2, 2, 1),
 ))
 _register(FamilySpec(
     "f0", "class", (),
     "the set of part values divisible by 4 is a singleton",
-    make_pred=lambda: _pred_singleton_residue(4, 0),
+    make_fold=lambda: _fold_singleton_residue(4, 0),
 ))
 _register(FamilySpec(
     "f2", "class", (),
     "the set of part values congruent to 2 mod 4 is a singleton",
-    make_pred=lambda: _pred_singleton_residue(4, 2),
+    make_fold=lambda: _fold_singleton_residue(4, 2),
 ))
 _register(FamilySpec(
     "d_pkr", "class", ("p", "k", "r"),
     "exactly one part in class r mod p appears at least k times, other parts "
     "in that class fewer, parts outside the class free",
     validate=_validate_pkr,
-    make_pred=_pred_one_heavy_in_residue,
+    make_fold=_fold_one_heavy_in_residue,
 ))
 _register(FamilySpec(
     "f_pkr", "class", ("p", "k", "r"),
     "the set of part values in class k*r mod p*k is a singleton",
     validate=_validate_pkr,
-    make_pred=lambda p, k, r: _pred_singleton_residue(p * k, (k * r) % (p * k)),
+    make_fold=lambda p, k, r: _fold_singleton_residue(p * k, (k * r) % (p * k)),
 ))
 _register(FamilySpec(
     "d_k", "class", ("k",),
     "exactly one part value appears at least k times, all others fewer",
     validate=_validate_k2,
-    make_pred=_pred_d_k,
+    make_fold=lambda k: _fold_one_heavy_in_residue(1, k, 0),
 ))
 _register(FamilySpec(
     "g_alpha_odd", "class", ("alpha", "k", "p"),
     "one odd part value appears >= alpha times with multiplicity residue "
     "(m - alpha) mod p below k; all other values appear at most k-1 times",
     validate=_validate_g_alpha,
-    make_pred=lambda alpha, k, p: _pred_g_alpha(alpha, k, p, 1),
+    make_fold=lambda alpha, k, p: _fold_g_alpha(alpha, k, p, 1),
 ))
 _register(FamilySpec(
     "g_alpha_even", "class", ("alpha", "k", "p"),
     "one even part value appears >= alpha times with multiplicity residue "
     "(m - alpha) mod p below k; all other values appear at most k-1 times",
     validate=_validate_g_alpha,
-    make_pred=lambda alpha, k, p: _pred_g_alpha(alpha, k, p, 0),
+    make_fold=lambda alpha, k, p: _fold_g_alpha(alpha, k, p, 0),
 ))
 _register(FamilySpec(
     "g_alpha", "derived", ("alpha", "k", "p"),
@@ -452,13 +366,13 @@ _register(FamilySpec(
     "partitions with every multiplicity at most t-1",
     validate=_validate_t,
     enum_kind=lambda p: multiplicity_at_most(p["t"] - 1),
-    make_pred=lambda t: _pred_true(),
+    make_fold=lambda t: _fold_all(),
 ))
 _register(FamilySpec(
     "glaisher_right", "class", ("t",),
     "partitions with no part divisible by t",
     validate=_validate_t,
-    make_pred=_pred_no_part_divisible,
+    make_fold=_fold_no_part_divisible,
 ))
 
 
@@ -466,7 +380,8 @@ _register(FamilySpec(
 # Evaluation
 # ---------------------------------------------------------------------------
 
-_enum_memo: dict[tuple[str, tuple[tuple[str, int], ...], int], int] = {}
+_enum_memo: dict[tuple[str, tuple[tuple[str, int], ...]], tuple[int, ...]] = {}
+_member_memo: dict[tuple[str, frozenset], Callable[[Partition], bool]] = {}
 _series_cache: dict[tuple[str, tuple[tuple[str, int], ...]], qseries.Series] = {}
 
 
@@ -507,26 +422,38 @@ def _spec_args(spec: FamilySpec, params: dict[str, int]) -> list[int]:
     return [params[name] for name in spec.param_names]
 
 
+def _enum_kind(spec: FamilySpec, params: dict[str, int]) -> EnumKind:
+    return spec.enum_kind(params) if spec.enum_kind is not None else ALL
+
+
+def _enum_table(spec: FamilySpec, params: dict[str, int], n: int) -> tuple[int, ...]:
+    """The family's values at 0..m for some m >= n, memoized per (family,
+    params); a miss walks once to n, and a derived family combines the
+    tables of its pieces."""
+    key = (spec.id, _params_key(params))
+    table = _enum_memo.get(key)
+    if table is None or len(table) <= n:
+        if spec.kind == "derived":
+            subs = [(coef, _enum_table(get_spec(sub), params if get_spec(sub).param_names else {}, n))
+                    for coef, sub in spec.combine]
+            table = tuple(sum(coef * values[i] for coef, values in subs)
+                          for i in range(min(len(values) for _, values in subs)))
+        else:
+            fold = spec.make_fold(*_spec_args(spec, params))
+            table = enumeration.fold_table(n, _enum_kind(spec, params).bound, fold)
+        _enum_memo[key] = table
+    return table
+
+
 def count_enum(family: str, n: int, params: Params | None = None, cap: int | None = None) -> int:
-    """Exact value of the family at n by exhaustive enumeration."""
+    """Exact value of the family at n by exhaustive enumeration.  One walk
+    fills every n' <= n, so a caller sweeping n should ask for its top n
+    first."""
     spec = get_spec(family)
     norm = normalize_params(family, params)
     # The cap applies to the request even when the value is already memoized.
     enumeration._check_request(n, cap)
-    key = (family, _params_key(norm), n)
-    got = _enum_memo.get(key)
-    if got is not None:
-        return got
-    if spec.kind == "derived":
-        value = sum(coef * count_enum(sub, n, norm if get_spec(sub).param_names else None, cap)
-                    for coef, sub in spec.combine)
-    else:
-        kind = spec.enum_kind(norm) if spec.enum_kind is not None else ALL
-        # A class predicate's True counts as 1; a statistic adds its value.
-        fold = (spec.make_pred if spec.kind == "class" else spec.make_stat)(*_spec_args(spec, norm))
-        value = sum(map(fold, enumeration.pair_sequences(n, kind, cap)))
-    _enum_memo[key] = value
-    return value
+    return _enum_table(spec, norm, n)[n]
 
 
 def series_for(family: str, params: Params | None = None, order: int | None = None) -> qseries.Series:
@@ -555,37 +482,50 @@ def count_series(family: str, n: int, params: Params | None = None, order: int |
     return series_for(family, params, n if order is None else order).coeffs[n]
 
 
-def membership(family: str, params: Params | None = None) -> Callable[[Partition], bool]:
-    """Class-membership predicate over Partition values."""
+def _class_acceptor(family: str, params: Params | None) -> tuple[Callable[[PairSeq], bool], EnumKind]:
+    """The class's fold run over one canonical pair tuple, and its kind."""
     spec = get_spec(family)
     norm = normalize_params(family, params)
     if spec.kind != "class":
         raise DomainError(f"family {family!r} is not a partition class")
-    pred = spec.make_pred(*_spec_args(spec, norm))
-    bound = spec.enum_kind(norm).bound if spec.enum_kind is not None else None
-    if bound is None:
-        return lambda partition: pred(partition.pairs)
+    init, step, value = spec.make_fold(*_spec_args(spec, norm))
+    kind = _enum_kind(spec, norm)
+    bound = kind.bound
 
-    def member(partition: Partition) -> bool:
-        for _, mult in partition.pairs:
-            if mult > bound:
+    def accepts(pairs: PairSeq) -> bool:
+        state = init
+        for part, mult in pairs:
+            if bound is not None and mult > bound:
                 return False
-        return pred(partition.pairs)
+            state = step(state, part, mult)
+            if state is None:
+                return False
+        return value(state) == 1
 
+    return accepts, kind
+
+
+def membership(family: str, params: Params | None = None) -> Callable[[Partition], bool]:
+    """Class-membership predicate over Partition values, built once per
+    (family, params).  Only integer-valued params are memo keys, so bad ones
+    always reach validation."""
+    given = dict(params or {})
+    key = (family, frozenset(given.items())) if all(type(v) is int for v in given.values()) else None
+    member = _member_memo.get(key)
+    if member is None:
+        accepts, _ = _class_acceptor(family, given)
+        member = lambda partition: accepts(partition.pairs)
+        if key is not None:
+            _member_memo[key] = member
     return member
 
 
 def enumerate_class(family: str, n: int, params: Params | None = None,
                     cap: int | None = None) -> tuple[Partition, ...]:
     """All weight-n members of a class family, in enumeration order."""
-    spec = get_spec(family)
-    norm = normalize_params(family, params)
-    if spec.kind != "class":
-        raise DomainError(f"family {family!r} is not a partition class")
-    kind = spec.enum_kind(norm) if spec.enum_kind is not None else ALL
-    pred = spec.make_pred(*_spec_args(spec, norm))
+    accepts, kind = _class_acceptor(family, params)
     raw = Partition._raw
-    return tuple(raw(pairs, n) for pairs in enumeration.pair_sequences(n, kind, cap) if pred(pairs))
+    return tuple(raw(pairs, n) for pairs in enumeration.pair_sequences(n, kind, cap) if accepts(pairs))
 
 
 # ---------------------------------------------------------------------------

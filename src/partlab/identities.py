@@ -100,6 +100,8 @@ Evaluator = Callable[[int], int]
 
 def _eval(fid: str, params: Mapping[str, int] | None, engine: str, n_max: int) -> Evaluator:
     if engine == "enum":
+        # One walk fills every n <= n_max; the lookups below hit its memo.
+        families.count_enum(fid, n_max, params)
         return lambda n: families.count_enum(fid, n, params)
     if engine == "series":
         series = families.series_for(fid, params, n_max)
@@ -137,6 +139,7 @@ def _run_relation(spec: IdentitySpec, cell: Params, n_max: int, engine: str) -> 
 
 
 def _check_i9(params: Params, n_max: int, engine: str) -> Counterexample | None:
+    families.count_enum("d_e", n_max)
     for n in range(1, n_max + 1):
         lhs = families.recurrence_d_e(n)
         rhs = families.count_enum("d_e", n)
@@ -146,6 +149,8 @@ def _check_i9(params: Params, n_max: int, engine: str) -> Counterexample | None:
 
 
 def _check_i10(params: Params, n_max: int, engine: str) -> Counterexample | None:
+    if engine == "enum":
+        families.count_enum("d_o", n_max)
     for n in range(1, n_max + 1):
         lhs = families.d_o_parity_lhs(n, engine=engine)
         if n % 2 == 1:
@@ -174,6 +179,7 @@ def _check_i14(params: Params, n_max: int, engine: str) -> Counterexample | None
     # Enumeration engine: the unsigned pieces against their series.
     for fid in ("g_alpha_odd", "g_alpha_even"):
         series = families.series_for(fid, cell)
+        families.count_enum(fid, n_max, cell)
         for n in range(0, n_max + 1):
             lhs = families.count_enum(fid, n, cell)
             rhs = series.coeffs[n]

@@ -71,6 +71,7 @@ def test_oracle_series_agreement_full_grid():
     # enumeration oracle across the default parameter grid.
     for family, params in closed_form_cells():
         series = families.series_for(family, params)
+        count_enum(family, 40, params)  # one walk fills n <= 40
         for n in range(41):
             assert count_enum(family, n, params) == series.coeffs[n], (family, params, n)
 
@@ -172,3 +173,38 @@ def test_heavy_part_series_diverges_when_k_exceeds_p():
     series = families.series_for("g_alpha_odd", cell)
     mismatches = [n for n in range(21) if count_enum("g_alpha_odd", n, cell) != series.coeffs[n]]
     assert mismatches and mismatches[0] == 5
+
+
+def test_heavy_multiplicity_band_dies_but_larger_multiplicity_qualifies():
+    # For (alpha, k, p) = (4, 2, 2) a multiplicity of 2 or 3 is fatal, yet 4
+    # and 5 qualify: the walk must try every multiplicity, not stop at the
+    # first dead one.
+    cell = {"alpha": 4, "k": 2, "p": 2}
+    member = membership("g_alpha_odd", cell)
+    assert not member(parse_partition("1^2"))
+    assert not member(parse_partition("1^3"))
+    assert member(parse_partition("1^4"))
+    assert member(parse_partition("1^5"))
+    assert not member(parse_partition("2^2,1"))
+    assert [count_enum("g_alpha_odd", n, cell) for n in range(6)] == [0, 0, 0, 0, 1, 1]
+    assert enumerate_class("g_alpha_odd", 4, cell) == (parse_partition("1^4"),)
+
+
+def test_cap_checked_on_memoized_table():
+    count_enum("d_e", 60)
+    table = families._enum_memo[("d_e", ())]
+    assert isinstance(table, tuple) and len(table) >= 61
+    with pytest.raises(ResourceLimitError):
+        count_enum("d_e", 50, cap=40)
+    assert count_enum("d_e", 40, cap=40) == table[40]
+
+
+def test_membership_memoized_per_family_and_params():
+    assert membership("d_k", {"k": 3}) is membership("d_k", {"k": 3})
+    assert membership("d_k", {"k": 3}) is not membership("d_k", {"k": 4})
+    for bad in ({"k": [3]}, {"k": 3.0}, {"k": True}, {"k": 1}, {"k": {}}):
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                membership("d_k", bad)
+    # Failed builds are not memoized; non-integer params are never keys.
+    assert ("d_k", frozenset({("k", 1)})) not in families._member_memo
