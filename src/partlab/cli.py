@@ -15,7 +15,7 @@ import json
 import sys
 from typing import Sequence
 
-from . import bijections, enumeration, families, identities, qseries
+from . import bijections, families, identities, qseries
 from .errors import (
     DomainError,
     InvalidPartitionError,
@@ -77,20 +77,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
         lo, hi = _parse_range(args.range)
         if lo < 0 or hi < lo:
             raise _UsageError(f"bad range {lo}..{hi}")
-        if args.engine != "series":
-            # One walk fills the range.  It stops at the cap, so a range
-            # beyond the cap still fails at its first n over the cap; the
-            # family and params are checked before the cap, as per n.
-            families.normalize_params(args.family, params)
-            top = min(hi, enumeration.resolve_cap(args.max_n))
-            if top >= lo:
-                families.count_enum(args.family, top, params, cap=args.max_n)
-        rows = []
-        for n in range(lo, hi + 1):
-            if args.engine == "series":
-                rows.append((n, families.count_series(args.family, n, params, order=args.order)))
-            else:
-                rows.append((n, families.count_enum(args.family, n, params, cap=args.max_n)))
+        if args.engine == "series":
+            rows = [(n, families.count_series(args.family, n, params, order=args.order))
+                    for n in range(lo, hi + 1)]
+        else:
+            values = families.enum_values(args.family, hi, params, cap=args.max_n)
+            rows = [(n, values[n]) for n in range(lo, hi + 1)]
     except DomainError as exc:
         raise _UsageError(str(exc)) from exc
     _emit_rows(rows, args.format)

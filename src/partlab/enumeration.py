@@ -1,18 +1,20 @@
 """Exhaustive generation of partitions of n under multiplicity constraints.
 
-This is the brute-force oracle substrate.  Counting goes through one pruned
-walk, ``fold_table``: a depth-first pass over decreasing (part, multiplicity)
-prefixes that visits every constrained partition of weight <= N once, folds
-each family's per-pair step along the way and adds its value into the table
-at the prefix's weight, so one pass fills n = 0..N.  A step that can no longer
-qualify cuts the whole subtree.  The walk uses no generating-function
-knowledge.
+This is the brute-force oracle substrate.  ``pair_sequences`` walks the
+constrained partitions as canonical pair tuples in one of two ways:
 
-``pair_sequences`` materialises the canonical pair tuples of one weight for
-the paths that need the partitions themselves (``generate`` and class
-enumeration): a tuple cached for small n and streamed above that, with one
-interned ``(part, mult)`` tuple per value.  Generation order is deterministic
-(lexicographically decreasing part sequences) so diffs stay stable.
+* Materialising (no fold): ``_walk`` yields the tuples of weight n for
+  ``generate`` and class enumeration, with one interned ``(part, mult)``
+  tuple per value; for small n the result is cached and shared.
+* Reducing (a fold): ``_fold_walk`` visits every decreasing (part, mult)
+  prefix of weight <= n once, folds each family's per-pair step and adds its
+  value at the prefix's weight, so one pass fills n = 0..N.  A step that can
+  no longer qualify cuts the whole subtree.
+
+The walks stay separate because they visit different trees: the first only
+prefixes that complete to weight n, the second every weight up to n.  Neither
+uses generating-function knowledge.  Order is deterministic (lexicographically
+decreasing part sequences) so diffs stay stable.
 """
 
 from __future__ import annotations
@@ -128,12 +130,21 @@ def _walk(n: int, bound: int | None) -> Iterator[PairSeq]:
     yield from rec(n, n)
 
 
-def pair_sequences(n: int, kind: EnumKind = ALL, cap: int | None = None) -> Iterable[PairSeq]:
-    """Canonical pair tuples of every weight-n partition of the kind, from the
-    one kernel ``_walk``: a tuple cached per (n, bound) and reusable for
-    n <= _CACHE_LIMIT, the live generator (single pass) above it.  Either way
-    the pairs are interned, so cached sequences share their pair objects."""
+def pair_sequences(n: int, kind: EnumKind = ALL, cap: int | None = None,
+                   fold: Fold | None = None) -> Iterable[PairSeq] | tuple[int, ...]:
+    """Walk the constrained pair sequences of the kind.
+
+    Without a fold: the canonical pair tuples of weight n, from ``_walk``; a
+    tuple cached per (n, bound) and reusable for n <= _CACHE_LIMIT, the live
+    generator (single pass) above it.  Either way the pairs are interned, so
+    cached sequences share their pair objects.
+
+    With a fold: the walk reduces instead of materialising, and returns the
+    fold's total over the sequences of each weight 0..n.
+    """
     _check_request(n, cap)
+    if fold is not None:
+        return _fold_walk(n, kind.bound, fold)
     if n > _CACHE_LIMIT:
         return _walk(n, kind.bound)
     key = (n, kind.bound)
@@ -154,7 +165,7 @@ def generate(n: int, kind: EnumKind = ALL, cap: int | None = None) -> Iterator[P
         yield raw(pairs, n)
 
 
-def fold_table(n: int, bound: int | None, fold: Fold) -> tuple[int, ...]:
+def _fold_walk(n: int, bound: int | None, fold: Fold) -> tuple[int, ...]:
     """Sum of the fold's value over every constrained partition of each
     weight 0..n, in one depth-first pass.
 

@@ -426,7 +426,7 @@ def _enum_kind(spec: FamilySpec, params: dict[str, int]) -> EnumKind:
     return spec.enum_kind(params) if spec.enum_kind is not None else ALL
 
 
-def _enum_table(spec: FamilySpec, params: dict[str, int], n: int) -> tuple[int, ...]:
+def _enum_table(spec: FamilySpec, params: dict[str, int], n: int, cap: int | None) -> tuple[int, ...]:
     """The family's values at 0..m for some m >= n, memoized per (family,
     params); a miss walks once to n, and a derived family combines the
     tables of its pieces."""
@@ -434,26 +434,33 @@ def _enum_table(spec: FamilySpec, params: dict[str, int], n: int) -> tuple[int, 
     table = _enum_memo.get(key)
     if table is None or len(table) <= n:
         if spec.kind == "derived":
-            subs = [(coef, _enum_table(get_spec(sub), params if get_spec(sub).param_names else {}, n))
+            subs = [(coef, _enum_table(get_spec(sub), params if get_spec(sub).param_names else {}, n, cap))
                     for coef, sub in spec.combine]
             table = tuple(sum(coef * values[i] for coef, values in subs)
                           for i in range(min(len(values) for _, values in subs)))
         else:
             fold = spec.make_fold(*_spec_args(spec, params))
-            table = enumeration.fold_table(n, _enum_kind(spec, params).bound, fold)
+            table = tuple(enumeration.pair_sequences(n, _enum_kind(spec, params), cap, fold))
         _enum_memo[key] = table
     return table
 
 
 def count_enum(family: str, n: int, params: Params | None = None, cap: int | None = None) -> int:
-    """Exact value of the family at n by exhaustive enumeration.  One walk
-    fills every n' <= n, so a caller sweeping n should ask for its top n
-    first."""
+    """Exact value of the family at n by exhaustive enumeration.  A memo miss
+    walks once to n, so a caller sweeping n reads ``enum_values`` instead."""
     spec = get_spec(family)
     norm = normalize_params(family, params)
     # The cap applies to the request even when the value is already memoized.
     enumeration._check_request(n, cap)
-    return _enum_table(spec, norm, n)[n]
+    return _enum_table(spec, norm, n, cap)[n]
+
+
+def enum_values(family: str, n_max: int, params: Params | None = None,
+                cap: int | None = None) -> tuple[int, ...]:
+    """Exact values of the family at n = 0..n_max, all read off the table
+    that ``count_enum(family, n_max)`` checks the request for and fills."""
+    count_enum(family, n_max, params, cap)
+    return _enum_memo[(family, _params_key(normalize_params(family, params)))][:n_max + 1]
 
 
 def series_for(family: str, params: Params | None = None, order: int | None = None) -> qseries.Series:
@@ -562,27 +569,29 @@ def recurrence_d_e(n: int) -> int:
     return memo[n]
 
 
-def d_o_parity_lhs(n: int, engine: str = "enum", cap: int | None = None,
-                   order: int | None = None) -> int:
-    """Triangular-shifted sum of the odd-repeated-part count, reduced mod 2:
+def triangular_parity(values: Callable[[int], int], n: int) -> int:
+    """Triangular-shifted sum of a sequence at n, reduced mod 2:
 
-        sum over j >= 0 with j(j+1)/2 <= n of d_o(n - j(j+1)/2)  (mod 2)
+        sum over j >= 0 with j(j+1)/2 < n of values(n - j(j+1)/2)  (mod 2)
     """
-    if n < 1:
-        raise DomainError(f"parity sum is defined for n >= 1, got {n}")
-    if engine not in ("enum", "series"):
-        raise DomainError(f"engine must be 'enum' or 'series', got {engine!r}")
     total = 0
     j = 0
-    while j * (j + 1) // 2 <= n:
-        m = n - j * (j + 1) // 2
-        if m > 0:
-            if engine == "enum":
-                total += count_enum("d_o", m, cap=cap)
-            else:
-                total += count_series("d_o", m, order=order)
+    while j * (j + 1) // 2 < n:
+        total += values(n - j * (j + 1) // 2)
         j += 1
     return total % 2
+
+
+def d_o_parity_lhs(n: int, engine: str = "enum", cap: int | None = None,
+                   order: int | None = None) -> int:
+    """The triangular parity sum of the odd-repeated-part count at n."""
+    if n < 1:
+        raise DomainError(f"parity sum is defined for n >= 1, got {n}")
+    if engine == "enum":
+        return triangular_parity(lambda m: count_enum("d_o", m, cap=cap), n)
+    if engine == "series":
+        return triangular_parity(lambda m: count_series("d_o", m, order=order), n)
+    raise DomainError(f"engine must be 'enum' or 'series', got {engine!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -100,9 +100,7 @@ Evaluator = Callable[[int], int]
 
 def _eval(fid: str, params: Mapping[str, int] | None, engine: str, n_max: int) -> Evaluator:
     if engine == "enum":
-        # One walk fills every n <= n_max; the lookups below hit its memo.
-        families.count_enum(fid, n_max, params)
-        return lambda n: families.count_enum(fid, n, params)
+        return families.enum_values(fid, n_max, params).__getitem__
     if engine == "series":
         series = families.series_for(fid, params, n_max)
         return lambda n: series.coeffs[n]
@@ -139,20 +137,19 @@ def _run_relation(spec: IdentitySpec, cell: Params, n_max: int, engine: str) -> 
 
 
 def _check_i9(params: Params, n_max: int, engine: str) -> Counterexample | None:
-    families.count_enum("d_e", n_max)
+    d_e = families.enum_values("d_e", n_max)
     for n in range(1, n_max + 1):
         lhs = families.recurrence_d_e(n)
-        rhs = families.count_enum("d_e", n)
+        rhs = d_e[n]
         if lhs != rhs:
             return Counterexample(n, lhs, rhs)
     return None
 
 
 def _check_i10(params: Params, n_max: int, engine: str) -> Counterexample | None:
-    if engine == "enum":
-        families.count_enum("d_o", n_max)
+    d_o = _eval("d_o", None, engine, n_max)
     for n in range(1, n_max + 1):
-        lhs = families.d_o_parity_lhs(n, engine=engine)
+        lhs = families.triangular_parity(d_o, n)
         if n % 2 == 1:
             rhs = 0
         else:
@@ -179,9 +176,9 @@ def _check_i14(params: Params, n_max: int, engine: str) -> Counterexample | None
     # Enumeration engine: the unsigned pieces against their series.
     for fid in ("g_alpha_odd", "g_alpha_even"):
         series = families.series_for(fid, cell)
-        families.count_enum(fid, n_max, cell)
+        values = families.enum_values(fid, n_max, cell)
         for n in range(0, n_max + 1):
-            lhs = families.count_enum(fid, n, cell)
+            lhs = values[n]
             rhs = series.coeffs[n]
             if lhs != rhs:
                 return Counterexample(n, lhs, rhs)

@@ -71,7 +71,6 @@ def test_oracle_series_agreement_full_grid():
     # enumeration oracle across the default parameter grid.
     for family, params in closed_form_cells():
         series = families.series_for(family, params)
-        count_enum(family, 40, params)  # one walk fills n <= 40
         for n in range(41):
             assert count_enum(family, n, params) == series.coeffs[n], (family, params, n)
 
@@ -191,12 +190,15 @@ def test_heavy_multiplicity_band_dies_but_larger_multiplicity_qualifies():
 
 
 def test_cap_checked_on_memoized_table():
-    count_enum("d_e", 60)
-    table = families._enum_memo[("d_e", ())]
-    assert isinstance(table, tuple) and len(table) >= 61
+    table = families.enum_values("d_e", 60)
+    assert isinstance(table, tuple) and len(table) == 61
+    assert isinstance(families._enum_memo[("d_e", ())], tuple)
     with pytest.raises(ResourceLimitError):
         count_enum("d_e", 50, cap=40)
+    with pytest.raises(ResourceLimitError):
+        families.enum_values("d_e", 50, cap=40)
     assert count_enum("d_e", 40, cap=40) == table[40]
+    assert families.enum_values("d_e", 40, cap=40) == table[:41]
 
 
 def test_membership_memoized_per_family_and_params():
