@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from io import StringIO
 from typing import Callable, Iterable, Mapping
 
-from . import enumeration, families, numtheory, qseries
-from .errors import DomainError, ResourceLimitError, UnknownIdentityError
+from . import families, numtheory, qseries
+from .errors import DomainError, UnknownIdentityError
 
 Params = dict[str, int]
 
@@ -361,14 +361,6 @@ def verify(identity_id: str, params: Mapping[str, int] | None = None,
     used_n_max = 0
     for eng in engines:
         resolved = _resolve_n_max(spec, eng, n_max)
-        if eng == "enum":
-            # Fail fast instead of enumerating up to the cap first.
-            cap = enumeration.resolve_cap(None)
-            if resolved > cap:
-                raise ResourceLimitError(
-                    f"n_max={resolved} exceeds the enumeration cap {cap} "
-                    f"for the enum engine of {identity_id}"
-                )
         used_n_max = max(used_n_max, resolved)
         if spec.sides is None:
             counterexample = _BESPOKE[identity_id](cell, resolved, eng)

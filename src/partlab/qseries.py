@@ -52,18 +52,6 @@ class Series:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __add__(self, other: "Series") -> "Series":
-        return add(self, other)
-
-    def __sub__(self, other: "Series") -> "Series":
-        return add(self, negate(other))
-
-    def __mul__(self, other: "Series") -> "Series":
-        return mul(self, other)
-
-    def __neg__(self) -> "Series":
-        return negate(self)
-
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:10])
         tail = ", ..." if self.order >= 10 else ""

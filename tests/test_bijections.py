@@ -170,3 +170,81 @@ def test_exhaustive_cells_small(name, params):
 def test_exhaustive_cell_check_unknown():
     with pytest.raises(DomainError):
         bj.exhaustive_cell_check("nope", {}, 5)
+
+
+@pytest.mark.parametrize("name,params,n", [
+    ("var0", {"r": 5}, 0),
+    ("var0", {"r": 5}, 1),
+    ("var0", {"r": 2}, 6),
+    ("genr", {"p": 2}, 3),
+    ("genr", {"p": 2, "k": 2, "r": 0, "t": 2}, 3),
+    ("glaisher", {}, 3),
+    ("dpk", {"p": 2, "k": 2, "r": 0}, 4),
+])
+def test_exhaustive_cell_check_rejects_cell_before_enumerating(name, params, n, monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated a class for a malformed cell")
+
+    monkeypatch.setattr(families, "enumerate_class", no_enumeration)
+    with pytest.raises(DomainError):
+        bj.exhaustive_cell_check(name, params, n)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("glaisher", {"t": 1}),
+    ("genr", {"p": 2, "k": 2, "r": 2}),
+    ("genr", {"p": 1, "k": 2, "r": 0}),
+    ("dpk", {"p": 1, "k": 4}),
+])
+def test_exhaustive_cell_check_rejects_bad_values(name, params):
+    for n in (0, 1, 4):
+        with pytest.raises(DomainError):
+            bj.exhaustive_cell_check(name, params, n)
+
+
+# --- the sweep reports injected faults instead of raising --------------------
+
+
+def _inject(monkeypatch, attr, fault):
+    """Replace the splitting map ``attr`` by one whose result passes
+    through ``fault(partition, result)``."""
+    original = getattr(bj, attr)
+    monkeypatch.setattr(bj, attr, lambda t, x: fault(x, original(t, x)))
+
+
+def test_sweep_reports_image_outside_codomain(monkeypatch):
+    # glaisher checks no output class, so the sweep is the only guard.
+    _inject(monkeypatch, "glaisher", lambda x, y: P("2^2") if x == P("3,1") else y)
+    failures = bj.exhaustive_cell_check("glaisher", {"t": 2}, 4)
+    assert any("outside the target class" in f for f in failures)
+    assert any("not surjective" in f for f in failures)
+
+
+def test_sweep_reports_two_sources_on_one_image(monkeypatch):
+    _inject(monkeypatch, "glaisher", lambda x, y: P("1^4") if x == P("3,1") else y)
+    failures = bj.exhaustive_cell_check("glaisher", {"t": 2}, 4)
+    assert any("not injective" in f for f in failures)
+    assert any("not surjective" in f for f in failures)
+
+
+def test_sweep_reports_wrong_inverse(monkeypatch):
+    # 4,2 maps to 1^6.  The faulty inverse sends 1^6 to itself, which the
+    # forward map rejects (multiplicity 6 > 1), so a sweep that fed the
+    # inverse's output back to the forward map would raise here.
+    _inject(monkeypatch, "glaisher_inv", lambda x, y: x if x == P("1^6") else y)
+    failures = bj.exhaustive_cell_check("glaisher", {"t": 2}, 6)
+    assert failures == ["round trip failed: 4,2 -> 1^6 -> 1^6"]
+
+
+def test_sweep_reports_wrong_genr_inverse(monkeypatch):
+    original = bj.genr_d_to_f
+
+    def faulty(p, k, r, partition):
+        trace = original(p, k, r, partition)
+        if partition == P("1^4"):
+            return bj.BijectionTrace(trace.input, P("3,1"), trace.steps)
+        return trace
+
+    monkeypatch.setattr(bj, "genr_d_to_f", faulty)
+    failures = bj.exhaustive_cell_check("genr", {"p": 2, "k": 2, "r": 1}, 4)
+    assert len(failures) == 1 and failures[0].startswith("round trip failed")

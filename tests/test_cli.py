@@ -96,6 +96,13 @@ def test_verify_rejects_jobs_below_one(capsys):
         assert "jobs" in err
 
 
+def test_verify_past_the_enumeration_cap(capsys, monkeypatch):
+    monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+    code, _, err = run(capsys, "verify", "I9", "--n-max", "81")
+    assert code == 3
+    assert "exceeds the cap 80" in err
+
+
 def test_verify_i15_runs_each_cell_once(capsys, monkeypatch):
     calls = []
     original = identities.verify

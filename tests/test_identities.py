@@ -3,8 +3,8 @@ import time
 
 import pytest
 
-from partlab import identities
-from partlab.errors import DomainError, UnknownIdentityError
+from partlab import enumeration, identities
+from partlab.errors import DomainError, ResourceLimitError, UnknownIdentityError
 from partlab.identities import (
     Counterexample,
     IdentityReport,
@@ -214,3 +214,16 @@ def test_relation_runner_passes_true_claims():
     holds = _relation("congruence", ((S,),))
     assert identities._run_relation(holds, {"p": 5, "offset": 4}, 60, "enum") is None
     assert identities._run_relation(holds, {"p": 5, "offset": 4}, 200, "series") is None
+
+
+@pytest.mark.parametrize("identity_id,params", [
+    ("I1", None), ("I9", None), ("I10", None), ("I14", {"p": 2, "k": 2, "alpha": 2}),
+])
+def test_enum_engine_past_the_cap_fails_before_walking(identity_id, params, monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked partitions past the cap")
+
+    monkeypatch.delenv(enumeration.CAP_ENV_VAR, raising=False)
+    monkeypatch.setattr(enumeration, "pair_sequences", no_walk)
+    with pytest.raises(ResourceLimitError, match="n=81 exceeds the cap 80"):
+        verify(identity_id, params, n_max=81, engine="enum")
