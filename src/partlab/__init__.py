@@ -16,7 +16,7 @@ from .errors import (
     UnknownIdentityError,
     UnsupportedFamilyError,
 )
-from .families import count_enum, count_series, d_o_parity_lhs, recurrence_d_e
+from .families import count_enum, count_series, recurrence_d_e
 from .identities import IdentityReport, IdentitySpec, list_identities, verify, verify_cells
 from .partition import Partition, format_partition, parse_partition
 from .qseries import Series, gf_family
@@ -41,7 +41,6 @@ __all__ = [
     "UnsupportedFamilyError",
     "count_enum",
     "count_series",
-    "d_o_parity_lhs",
     "format_partition",
     "generate",
     "gf_family",

@@ -1,14 +1,21 @@
 """Constructive weight-preserving bijections between partition classes.
 
-Each map records a step-by-step trace so the CLI can print the intermediate
-partitions.  The splitting maps check their input inline; the other maps
-check that their input lies in the domain class and their output in the
-target class.
+``BIJECTIONS`` declares every map once, keyed by the name that
+``partlab map`` and the exhaustive sweep use (glaisher, genr, dpk, var0).
+An entry holds the parameter names of its cell, the (domain, codomain)
+class pair of a cell, and the forward and inverse directions as functions
+of (cell, partition) that return a ``BijectionTrace``.  The splitting maps
+return bare partitions and check their input inline, so their entries wrap
+the image in a trace with no steps; the other maps record each
+intermediate partition and check that their input lies in the domain class
+and their output in the codomain class.  ``exhaustive_cell_check`` sweeps
+one (map, cell, weight) through its entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from . import families
 from .errors import DomainError, PartlabError
@@ -150,12 +157,18 @@ def genr_d_to_f(p: int, k: int, r: int, partition: Partition) -> BijectionTrace:
     return _trace(partition, output, steps)
 
 
+def _var0_sides(r: int) -> tuple[str, str]:
+    """The (f side, d side) classes that var0 pairs for r."""
+    if r not in (0, 1):
+        raise DomainError(f"r must be 0 or 1, got {r}")
+    return ("f0", "d_e") if r == 0 else ("f2", "d_o")
+
+
 def var0_map(direction: str, r: int, partition: Partition) -> BijectionTrace:
     """Specialization of the general map with p = k = 2: r = 0 pairs the
     singleton-multiples-of-4 class with the repeated-even-part class, r = 1
     the 2-mod-4 class with the repeated-odd-part class."""
-    if r not in (0, 1):
-        raise DomainError(f"r must be 0 or 1, got {r}")
+    _var0_sides(r)
     if direction == "forward":
         return genr_f_to_d(2, 2, r, partition)
     if direction == "inverse":
@@ -258,62 +271,83 @@ def dp_to_dpk(p: int, k: int, partition: Partition) -> BijectionTrace:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive verification of one (bijection, parameters, weight) cell
+# The bijection table: one entry per map, read by the sweep and the CLI
 # ---------------------------------------------------------------------------
 
-# Map name -> the parameter names of its sweep cell.
-_CELL_PARAMS = {"glaisher": ("t",), "genr": ("p", "k", "r"), "dpk": ("p", "k"), "var0": ("r",)}
+Cell = dict[str, int]
+ClassRef = tuple[str, Cell]
 
 
-def exhaustive_cell_check(name: str, params: dict[str, int], n: int) -> list[str]:
+@dataclass(frozen=True)
+class Bijection:
+    """One map: its cell's parameter names, a cell's (domain, codomain)
+    classes, and both directions as functions of (cell, partition)."""
+
+    params: tuple[str, ...]
+    classes: Callable[[Cell], tuple[ClassRef, ClassRef]]
+    forward: Callable[[Cell, Partition], BijectionTrace]
+    inverse: Callable[[Cell, Partition], BijectionTrace]
+
+
+# The entries look the maps up as module globals on every call, so a
+# replaced module attribute (a test's fault, a tracer's wrapper) is seen.
+BIJECTIONS: dict[str, Bijection] = {
+    "glaisher": Bijection(
+        ("t",), lambda c: (("glaisher_left", c), ("glaisher_right", c)),
+        lambda c, x: BijectionTrace(x, glaisher(c["t"], x), ()),
+        lambda c, y: BijectionTrace(y, glaisher_inv(c["t"], y), ())),
+    "genr": Bijection(
+        ("p", "k", "r"), lambda c: (("f_pkr", c), ("d_pkr", c)),
+        lambda c, x: genr_f_to_d(c["p"], c["k"], c["r"], x),
+        lambda c, y: genr_d_to_f(c["p"], c["k"], c["r"], y)),
+    "dpk": Bijection(
+        ("p", "k"), lambda c: (("d_k", {"k": c["p"] * c["k"]}), ("d_pkr", {**c, "r": 0})),
+        lambda c, x: dpk_to_dp(c["p"], c["k"], x),
+        lambda c, y: dp_to_dpk(c["p"], c["k"], y)),
+    "var0": Bijection(
+        ("r",), lambda c: tuple((side, {}) for side in _var0_sides(c["r"])),
+        lambda c, x: var0_map("forward", c["r"], x),
+        lambda c, y: var0_map("inverse", c["r"], y)),
+}
+
+
+def get_bijection(name: str, params: Cell) -> Bijection:
+    """The table entry for ``name``; raises DomainError for an unknown name
+    or when ``params`` does not carry exactly the entry's parameter names.
+    Parameter values are left to the maps and class predicates."""
+    entry = BIJECTIONS.get(name)
+    if entry is None:
+        raise DomainError(f"unknown bijection {name!r}; expected one of {tuple(BIJECTIONS)}")
+    missing = [key for key in entry.params if key not in params]
+    extra = [key for key in params if key not in entry.params]
+    if missing or extra:
+        raise DomainError(f"bijection {name!r} takes parameters {entry.params}"
+                          + (f"; missing {missing}" if missing else "")
+                          + (f"; unexpected {extra}" if extra else ""))
+    return entry
+
+
+def exhaustive_cell_check(name: str, params: Cell, n: int) -> list[str]:
     """Weight, membership, injectivity, surjectivity and round-trip checks
     over the full domain class of weight n.  Returns failure descriptions
     (empty list means the cell passed).
 
     One pass over the domain decides the verdict.  When it records nothing,
     ``forward`` preserves weight, lands in the codomain, is injective and
-    covers it, and ``backward`` undoes it on every image.  So every target y
-    is forward(x) for exactly one x, and ``backward(y) = x`` with
+    covers it, and ``inverse`` undoes it on every image.  So every target y
+    is forward(x) for exactly one x, and ``inverse(y) = x`` with
     ``forward(x) = y``: a pass over the codomain would recompute values this
     pass already compared, with the same pure maps.
     """
-    names = _CELL_PARAMS.get(name)
-    if names is None:
-        raise DomainError(f"unknown bijection {name!r}; expected one of {tuple(_CELL_PARAMS)}")
-    if sorted(params) != sorted(names):
-        raise DomainError(f"bijection {name!r} takes parameters {names}, got {tuple(params)}")
-    if name == "glaisher":
-        t = params["t"]
-        domain = families.enumerate_class("glaisher_left", n, params)
-        codomain = families.enumerate_class("glaisher_right", n, params)
-        forward = lambda x: glaisher(t, x)
-        backward = lambda y: glaisher_inv(t, y)
-    elif name == "genr":
-        p, k, r = params["p"], params["k"], params["r"]
-        domain = families.enumerate_class("f_pkr", n, params)
-        codomain = families.enumerate_class("d_pkr", n, params)
-        forward = lambda x: genr_f_to_d(p, k, r, x).output
-        backward = lambda y: genr_d_to_f(p, k, r, y).output
-    elif name == "var0":
-        r = params["r"]
-        if r not in (0, 1):
-            raise DomainError(f"r must be 0 or 1, got {r}")
-        domain = families.enumerate_class("f0" if r == 0 else "f2", n)
-        codomain = families.enumerate_class("d_e" if r == 0 else "d_o", n)
-        forward = lambda x: var0_map("forward", r, x).output
-        backward = lambda y: var0_map("inverse", r, y).output
-    else:
-        p, k = params["p"], params["k"]
-        domain = families.enumerate_class("d_k", n, {"k": p * k})
-        codomain = families.enumerate_class("d_pkr", n, {"p": p, "k": k, "r": 0})
-        forward = lambda x: dpk_to_dp(p, k, x).output
-        backward = lambda y: dp_to_dpk(p, k, y).output
+    entry = get_bijection(name, params)
+    (domain_family, domain_params), (codomain_family, codomain_params) = entry.classes(params)
+    domain = families.enumerate_class(domain_family, n, domain_params)
+    codomain_set = set(families.enumerate_class(codomain_family, n, codomain_params))
 
     failures: list[str] = []
-    codomain_set = set(codomain)
     seen: set[Partition] = set()
     for source in domain:
-        image = forward(source)
+        image = entry.forward(params, source).output
         if image.weight != source.weight:
             failures.append(f"weight changed: {source} -> {image}")
             continue
@@ -324,7 +358,7 @@ def exhaustive_cell_check(name: str, params: dict[str, int], n: int) -> list[str
             failures.append(f"not injective at {source} -> {image}")
             continue
         seen.add(image)
-        back = backward(image)
+        back = entry.inverse(params, image).output
         if back != source:
             failures.append(f"round trip failed: {source} -> {image} -> {back}")
     if len(seen) != len(codomain_set):

@@ -132,33 +132,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_map(args: argparse.Namespace) -> int:
     partition = parse_partition(args.partition)
     params = _collect_params(args)
-    if args.bijection == "glaisher":
-        t = params.get("t")
-        if t is None:
-            raise _UsageError("map glaisher needs --t")
-        result = bijections.glaisher_inv(t, partition) if args.inverse \
-            else bijections.glaisher(t, partition)
-        print(format_partition(result))
-        return EXIT_OK
-    if args.bijection == "genr":
-        missing = [k for k in ("p", "k", "r") if k not in params]
-        if missing:
-            raise _UsageError(f"map genr needs --p --k --r (missing {missing})")
-        trace = (bijections.genr_d_to_f if args.inverse else bijections.genr_f_to_d)(
-            params["p"], params["k"], params["r"], partition)
-    elif args.bijection == "var0":
-        if "r" not in params:
-            raise _UsageError("map var0 needs --r 0|1")
-        trace = bijections.var0_map("inverse" if args.inverse else "forward",
-                                    params["r"], partition)
-    elif args.bijection == "dpk":
-        missing = [k for k in ("p", "k") if k not in params]
-        if missing:
-            raise _UsageError(f"map dpk needs --p --k (missing {missing})")
-        trace = (bijections.dp_to_dpk if args.inverse else bijections.dpk_to_dp)(
-            params["p"], params["k"], partition)
-    else:
-        raise _UsageError(f"unknown bijection {args.bijection!r}")
+    try:
+        entry = bijections.get_bijection(args.bijection, params)
+    except DomainError as exc:
+        raise _UsageError(str(exc)) from exc
+    trace = (entry.inverse if args.inverse else entry.forward)(params, partition)
     if args.format == "json":
         payload = {
             "input": format_partition(trace.input),
@@ -224,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_map = sub.add_parser("map", help="apply a bijection and print its trace")
-    p_map.add_argument("bijection", choices=("glaisher", "genr", "dpk", "var0"))
+    p_map.add_argument("bijection", choices=tuple(bijections.BIJECTIONS))
     p_map.add_argument("partition", help="partition text, e.g. '13^10,7^30,1^11' or '-'")
     _add_param_flags(p_map)
     p_map.add_argument("--inverse", action="store_true", help="apply the inverse direction")

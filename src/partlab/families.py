@@ -582,18 +582,6 @@ def triangular_parity(values: Callable[[int], int], n: int) -> int:
     return total % 2
 
 
-def d_o_parity_lhs(n: int, engine: str = "enum", cap: int | None = None,
-                   order: int | None = None) -> int:
-    """The triangular parity sum of the odd-repeated-part count at n."""
-    if n < 1:
-        raise DomainError(f"parity sum is defined for n >= 1, got {n}")
-    if engine == "enum":
-        return triangular_parity(lambda m: count_enum("d_o", m, cap=cap), n)
-    if engine == "series":
-        return triangular_parity(lambda m: count_series("d_o", m, order=order), n)
-    raise DomainError(f"engine must be 'enum' or 'series', got {engine!r}")
-
-
 # ---------------------------------------------------------------------------
 # Default closed-form grid (the oracle/series agreement sweep)
 # ---------------------------------------------------------------------------

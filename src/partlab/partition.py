@@ -8,7 +8,7 @@ multiplicity >= 1, and caches the weight (sum of part * multiplicity).
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import InvalidPartitionError
 
@@ -54,11 +54,6 @@ class Partition:
         self.weight = weight
         return self
 
-    @classmethod
-    def from_parts(cls, parts: Iterable[int]) -> "Partition":
-        """Build a partition from a plain list of parts, e.g. [4, 2, 2]."""
-        return cls((p, 1) for p in parts)
-
     def multiplicity(self, part: int) -> int:
         """Multiplicity of ``part`` in the multiset, 0 if absent."""
         if not isinstance(part, int) or part < 1:
@@ -80,16 +75,6 @@ class Partition:
 
     def is_empty(self) -> bool:
         return not self.pairs
-
-    def num_parts(self) -> int:
-        """Number of parts counted with multiplicity."""
-        return sum(m for _, m in self.pairs)
-
-    def parts(self) -> Iterator[int]:
-        """Iterate over parts with multiplicity, largest first."""
-        for p, m in self.pairs:
-            for _ in range(m):
-                yield p
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Partition) and self.pairs == other.pairs

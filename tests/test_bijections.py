@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from partlab import acceptance, families
 from partlab import bijections as bj
-from partlab import families
 from partlab.errors import DomainError
 from partlab.partition import Partition, parse_partition
 
@@ -248,3 +248,104 @@ def test_sweep_reports_wrong_genr_inverse(monkeypatch):
     monkeypatch.setattr(bj, "genr_d_to_f", faulty)
     failures = bj.exhaustive_cell_check("genr", {"p": 2, "k": 2, "r": 1}, 4)
     assert len(failures) == 1 and failures[0].startswith("round trip failed")
+
+
+# --- the bijection table ------------------------------------------------------
+
+
+def test_table_matches_acceptance_cells():
+    cells = acceptance._bijection_cells()
+    assert {name for name, _ in cells} == set(bj.BIJECTIONS)
+    for name, params in cells:
+        entry = bj.BIJECTIONS[name]
+        assert sorted(params) == sorted(entry.params), (name, params)
+        for family, family_params in entry.classes(params):
+            assert families.get_spec(family).kind == "class", family
+            families.normalize_params(family, family_params)
+
+
+# Members of weight 10^3..10^5 with few distinct parts and, where the class
+# allows, large multiplicities (the shape of the n = 433 example).  Each
+# class is built from its definition, independently of the family folds.
+LOW, HIGH = 10**3, 10**5
+_values = st.integers(min_value=1, max_value=400)
+
+
+def _avoiding(modulus, residue):
+    """Part values not congruent to residue mod modulus."""
+    return _values.map(lambda v: v + 1 if v % modulus == residue else v)
+
+
+def _in_class(modulus, residue):
+    return st.integers(0, 400 // modulus).map(lambda a: modulus * a + residue).filter(bool)
+
+
+def _weight(pairs):
+    return sum(part * mult for part, mult in pairs.items())
+
+
+@st.composite
+def _anchored(draw, values, cap, anchor_values, min_mult):
+    """Up to four parts from ``values`` with multiplicity at most cap(part),
+    plus one new anchor part whose multiplicity, at least min_mult, puts the
+    weight in LOW..HIGH."""
+    rest = draw(st.dictionaries(values, st.integers(1, 50), max_size=4))
+    rest = {v: min(m, cap(v)) for v, m in rest.items()}
+    anchor = draw(anchor_values.filter(lambda v: v not in rest))
+    weight = _weight(rest)
+    lo = max(min_mult, -(-(LOW - weight) // anchor))
+    mult = draw(st.integers(lo, max(lo, (HIGH - weight) // anchor)))
+    return Partition([*rest.items(), (anchor, mult)])
+
+
+@st.composite
+def _bounded_mults(draw, bound):
+    """Every multiplicity at most bound: a few small parts plus one large one."""
+    rest = draw(st.dictionaries(_values, st.integers(1, bound), max_size=4))
+    weight = _weight(rest)
+    anchor = draw(st.integers(max(LOW - weight, max(rest, default=0) + 1), HIGH - weight))
+    return Partition([*rest.items(), (anchor, 1)])
+
+
+def _one_heavy(modulus, residue, k):
+    # Exactly one part in the residue class appears at least k times.
+    return _anchored(_values, lambda v: k - 1 if v % modulus == residue else 50,
+                     _in_class(modulus, residue), k)
+
+
+def _singleton_residue(modulus, residue):
+    # Exactly one part value lies in the residue class.
+    return _anchored(_avoiding(modulus, residue), lambda v: 50, _in_class(modulus, residue), 1)
+
+
+MEMBERS = {
+    "glaisher_left": lambda c: _bounded_mults(c["t"] - 1),
+    "glaisher_right": lambda c: _anchored(_avoiding(c["t"], 0), lambda v: 50, _avoiding(c["t"], 0), 1),
+    "f_pkr": lambda c: _singleton_residue(c["p"] * c["k"], c["k"] * c["r"]),
+    "d_pkr": lambda c: _one_heavy(c["p"], c["r"], c["k"]),
+    "d_k": lambda c: _one_heavy(1, 0, c["k"]),
+    "f0": lambda c: _singleton_residue(4, 0),
+    "f2": lambda c: _singleton_residue(4, 2),
+    "d_e": lambda c: _one_heavy(2, 0, 2),
+    "d_o": lambda c: _one_heavy(2, 1, 2),
+}
+
+
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+@pytest.mark.parametrize("name", list(bj.BIJECTIONS))
+@settings(deadline=None, max_examples=10)
+@given(data=st.data())
+def test_large_members_round_trip(name, direction, data):
+    entry = bj.BIJECTIONS[name]
+    cell = data.draw(st.sampled_from([c for n, c in acceptance._bijection_cells() if n == name]))
+    source_class, target_class = entry.classes(cell)
+    there, back = entry.forward, entry.inverse
+    if direction == "inverse":
+        source_class, target_class, there, back = target_class, source_class, back, there
+    source = data.draw(MEMBERS[source_class[0]](source_class[1]))
+    assert LOW <= source.weight <= HIGH
+    assert families.membership(*source_class)(source)
+    image = there(cell, source).output
+    assert image.weight == source.weight
+    assert families.membership(*target_class)(image)
+    assert back(cell, image).output == source

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from partlab import cli, identities
 from partlab.enumeration import CAP_ENV_VAR
 
@@ -222,3 +224,50 @@ def test_selftest_subset(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("criterion 1: PASS")
     assert lines[1].startswith("criterion 2: PASS")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["glaisher", "--t", "2", "--p", "3", "4,2"], "p"),
+    (["genr", "--p", "3", "--k", "4", "--r", "1", "--t", "2", "4,3,2"], "t"),
+    (["dpk", "--p", "2", "--k", "2", "--r", "0", "1^4"], "r"),
+    (["var0", "--r", "0", "--p", "5", "4^2"], "p"),
+])
+def test_map_rejects_a_flag_the_map_does_not_take(capsys, argv, flag):
+    code, out, err = run(capsys, "map", *argv)
+    assert code == 2 and out == ""
+    assert f"unexpected ['{flag}']" in err
+
+
+def test_map_missing_flag_and_bad_value(capsys):
+    code, _, err = run(capsys, "map", "genr", "--p", "3", "1^9")
+    assert code == 2 and "missing ['k', 'r']" in err
+    # Only parameter names are a usage error; a bad value is a domain error.
+    code, _, _ = run(capsys, "map", "var0", "--r", "5", "4")
+    assert code == 4
+
+
+_MAP_PAIRS = [
+    (["glaisher", "--t", "2"], "4,2", "1^6"),
+    (["genr", "--p", "3", "--k", "4", "--r", "1"], "4,3,2", "3,2,1^4"),
+    (["dpk", "--p", "3", "--k", "4"], "13^10,10^5,7^30,6^2,4^5,1^11",
+     "21^8,13^10,10^5,7^6,6^2,4^5,1^11"),
+    (["var0", "--r", "0"], "4^2", "2^4"),
+]
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("flags,source,image", _MAP_PAIRS)
+def test_map_json_for_every_map(capsys, flags, source, image, inverse):
+    if inverse:
+        source, image = image, source
+    code, out, _ = run(capsys, "map", *flags, *(["--inverse"] if inverse else []),
+                       "--format", "json", source)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["input"], payload["output"]) == (source, image)
+    assert all(set(step) == {"label", "value"} for step in payload["steps"])
+
+
+def test_map_glaisher_json_has_no_steps(capsys):
+    _, out, _ = run(capsys, "map", "glaisher", "--t", "2", "--format", "json", "4,2")
+    assert out.strip() == '{"input": "4,2", "output": "1^6", "steps": []}'

@@ -6,10 +6,12 @@ from partlab.families import (
     closed_form_cells,
     count_enum,
     count_series,
-    d_o_parity_lhs,
+    enum_values,
     enumerate_class,
     membership,
     recurrence_d_e,
+    series_for,
+    triangular_parity,
 )
 from partlab.numtheory import sigma0, v2
 from partlab.partition import parse_partition
@@ -126,25 +128,29 @@ def test_recurrence_matches_enumeration_prefix():
         assert recurrence_d_e(n) == count_enum("d_e", n), n
 
 
+def _d_o_parity(values, n):
+    return triangular_parity(values.__getitem__, n)
+
+
 def test_parity_sum_examples():
-    assert d_o_parity_lhs(2) == sigma0(1) % 2 == 1
-    assert d_o_parity_lhs(6) == sigma0(3) % 2 == 0
+    values = enum_values("d_o", 21)
+    assert _d_o_parity(values, 2) == sigma0(1) % 2 == 1
+    assert _d_o_parity(values, 6) == sigma0(3) % 2 == 0
     for n in range(1, 22, 2):
-        assert d_o_parity_lhs(n) == 0, n
-    with pytest.raises(DomainError):
-        d_o_parity_lhs(0)
-    with pytest.raises(DomainError):
-        d_o_parity_lhs(4, engine="nope")
+        assert _d_o_parity(values, n) == 0, n
 
 
 def test_parity_sum_engines_agree():
+    enum = enum_values("d_o", 30)
+    series = series_for("d_o").coeffs
     for n in range(1, 31):
-        assert d_o_parity_lhs(n, engine="enum") == d_o_parity_lhs(n, engine="series")
+        assert _d_o_parity(enum, n) == _d_o_parity(series, n)
 
 
 def test_parity_sum_matches_divisor_parity():
+    values = enum_values("d_o", 40)
     for n in range(2, 41, 2):
-        assert d_o_parity_lhs(n) == sigma0(n >> v2(n)) % 2, n
+        assert _d_o_parity(values, n) == sigma0(n >> v2(n)) % 2, n
 
 
 def test_membership_and_class_enumeration():

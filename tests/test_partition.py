@@ -108,9 +108,3 @@ def test_parse_rejects_garbage(text):
     with pytest.raises(InvalidPartitionError):
         parse_partition(text)
 
-
-def test_from_parts_and_iteration():
-    p = Partition.from_parts([4, 2, 2])
-    assert p.pairs == ((4, 1), (2, 2))
-    assert list(p.parts()) == [4, 2, 2]
-    assert p.num_parts() == 3
