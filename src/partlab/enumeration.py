@@ -1,20 +1,19 @@
-"""Exhaustive generation of partitions of n under multiplicity constraints.
+"""Exhaustive generation and counting of partitions of n under multiplicity
+constraints.
 
-This is the brute-force oracle substrate.  ``pair_sequences`` walks the
-constrained partitions as canonical pair tuples in one of two ways:
+This is the brute-force oracle substrate, in two parts behind the one entry
+point ``pair_sequences``:
 
-* Materialising (no fold): ``_walk`` yields the tuples of weight n for
-  ``generate`` and class enumeration, with one interned ``(part, mult)``
-  tuple per value; for small n the result is cached and shared.
-* Reducing (a fold): ``_fold_walk`` visits every decreasing (part, mult)
-  prefix of weight <= n once, folds each family's per-pair step and adds its
-  value at the prefix's weight, so one pass fills n = 0..N.  A step that can
-  no longer qualify cuts the whole subtree.
+* Materialising (no fold): ``_walk`` yields the constrained partitions of
+  weight n as canonical pair tuples for ``generate``, class enumeration and
+  the bijection sweeps, with one interned ``(part, mult)`` tuple per value;
+  for small n the result is cached and shared.  Order is deterministic
+  (lexicographically decreasing part sequences) so diffs stay stable.
+* Counting (a fold): ``_fold_transfer`` sums each family's per-pair fold
+  over every partition of each weight 0..n by dynamic programming over fold
+  states, without visiting the partitions one by one.
 
-The walks stay separate because they visit different trees: the first only
-prefixes that complete to weight n, the second every weight up to n.  Neither
-uses generating-function knowledge.  Order is deterministic (lexicographically
-decreasing part sequences) so diffs stay stable.
+Neither uses generating-function knowledge.
 """
 
 from __future__ import annotations
@@ -34,9 +33,10 @@ _CACHE_LIMIT = 40
 
 PairSeq = tuple[Pair, ...]
 
-# A fold is (init, step, value): step(state, part, mult) gives the next state,
-# or None once no extension of the prefix can qualify; value(state) is what
-# the prefix contributes at its weight.
+# A fold is (init, step, value) over the (part, mult) pairs of a partition in
+# decreasing part order: step(state, part, mult) gives the next state, or None
+# when the pair disqualifies the partition; value(state) is what a partition
+# ending in that state contributes.  States must be hashable.
 Fold = tuple[Any, Callable[[Any, int, int], Any], Callable[[Any], int]]
 
 
@@ -139,12 +139,12 @@ def pair_sequences(n: int, kind: EnumKind = ALL, cap: int | None = None,
     generator (single pass) above it.  Either way the pairs are interned, so
     cached sequences share their pair objects.
 
-    With a fold: the walk reduces instead of materialising, and returns the
-    fold's total over the sequences of each weight 0..n.
+    With a fold: the fold's total over the sequences of each weight 0..n,
+    counted by ``_fold_transfer`` without materialising them.
     """
     _check_request(n, cap)
     if fold is not None:
-        return _fold_walk(n, kind.bound, fold)
+        return _fold_transfer(n, kind.bound, fold)
     if n > _CACHE_LIMIT:
         return _walk(n, kind.bound)
     key = (n, kind.bound)
@@ -165,33 +165,37 @@ def generate(n: int, kind: EnumKind = ALL, cap: int | None = None) -> Iterator[P
         yield raw(pairs, n)
 
 
-def _fold_walk(n: int, bound: int | None, fold: Fold) -> tuple[int, ...]:
+def _fold_transfer(n: int, bound: int | None, fold: Fold) -> tuple[int, ...]:
     """Sum of the fold's value over every constrained partition of each
-    weight 0..n, in one depth-first pass.
+    weight 0..n, by dynamic programming over fold states.
 
-    Every prefix of decreasing (part, mult) pairs is itself a partition, so
-    each node adds its value at its own weight.  A dead step skips only that
-    multiplicity: the next one may qualify again.
+    ``rows[state][w]`` counts the partitions of weight w into the parts seen
+    so far that reach ``state``.  Parts are taken from n down to 1, the order
+    the folds assume: multiplicity 0 keeps the state, and each multiplicity
+    m >= 1 adds the row, shifted by part * m, into the row of
+    ``step(state, part, m)``.  A dead step skips only that multiplicity,
+    since a larger one may qualify again.
     """
     init, step, value = fold
-    table = [0] * (n + 1)
-    table[0] = value(init)
-
-    def rec(weight: int, top: int, state: Any) -> None:
-        room = n - weight
-        for part in range(top, 0, -1):
-            most = room // part
-            if bound is not None and most > bound:
-                most = bound
-            w = weight
-            for mult in range(1, most + 1):
-                w += part
+    rows = {init: [1] + [0] * n}
+    for part in range(n, 0, -1):
+        most = n // part if bound is None else min(n // part, bound)
+        merged = {state: row[:] for state, row in rows.items()}
+        for state, row in rows.items():
+            low = next(w for w, count in enumerate(row) if count)
+            for mult in range(1, min(most, (n - low) // part) + 1):
                 nxt = step(state, part, mult)
                 if nxt is None:
                     continue
-                table[w] += value(nxt)
-                if part > 1 and w < n:
-                    rec(w, min(part - 1, n - w), nxt)
-
-    rec(0, n, init)
+                target = merged.get(nxt)
+                if target is None:
+                    merged[nxt] = target = [0] * (n + 1)
+                shift = part * mult
+                target[shift:] = [a + b for a, b in zip(target[shift:], row)]
+        rows = merged
+    table = [0] * (n + 1)
+    for state, row in rows.items():
+        worth = value(state)
+        if worth:
+            table = [t + worth * count for t, count in zip(table, row)]
     return tuple(table)

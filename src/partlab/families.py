@@ -26,9 +26,9 @@ PairSeq = tuple[Pair, ...]
 # ---------------------------------------------------------------------------
 #
 # A fold is (init, step, value), see enumeration.Fold.  A class fold's value
-# is 1 or 0, and its step returns None as soon as no extension can qualify;
-# most class states are 0/1 for "the one marked part value has been seen".
-# A statistic's state is its running total, and it never dies.
+# is 1 or 0, and its step returns None for a pair that rules the partition
+# out; most class states are 0/1 for "the one marked part value has been
+# seen".  A statistic's state is its running total, and it never dies.
 
 
 def _identity(state: int) -> int:
@@ -428,8 +428,8 @@ def _enum_kind(spec: FamilySpec, params: dict[str, int]) -> EnumKind:
 
 def _enum_table(spec: FamilySpec, params: dict[str, int], n: int, cap: int | None) -> tuple[int, ...]:
     """The family's values at 0..m for some m >= n, memoized per (family,
-    params); a miss walks once to n, and a derived family combines the
-    tables of its pieces."""
+    params); a miss counts 0..n in one call, and a derived family combines
+    the tables of its pieces."""
     key = (spec.id, _params_key(params))
     table = _enum_memo.get(key)
     if table is None or len(table) <= n:
@@ -446,8 +446,7 @@ def _enum_table(spec: FamilySpec, params: dict[str, int], n: int, cap: int | Non
 
 
 def count_enum(family: str, n: int, params: Params | None = None, cap: int | None = None) -> int:
-    """Exact value of the family at n by exhaustive enumeration.  A memo miss
-    walks once to n, so a caller sweeping n reads ``enum_values`` instead."""
+    """Exact value of the family at n by exhaustive enumeration."""
     spec = get_spec(family)
     norm = normalize_params(family, params)
     # The cap applies to the request even when the value is already memoized.
@@ -460,7 +459,8 @@ def enum_values(family: str, n_max: int, params: Params | None = None,
     """Exact values of the family at n = 0..n_max, all read off the table
     that ``count_enum(family, n_max)`` checks the request for and fills."""
     count_enum(family, n_max, params, cap)
-    return _enum_memo[(family, _params_key(normalize_params(family, params)))][:n_max + 1]
+    # count_enum accepted the params, so they are already in normal form.
+    return _enum_table(get_spec(family), dict(params or {}), n_max, cap)[:n_max + 1]
 
 
 def series_for(family: str, params: Params | None = None, order: int | None = None) -> qseries.Series:

@@ -1,12 +1,15 @@
 """The traced benchmark replaces the functions listed in bench/tracer.py's
-WRAPPED table by module attribute; renaming or deleting one breaks only the
-benchmark, so this guards the names from the test suite."""
+WRAPPED table by module attribute, and counts what they return; renaming or
+deleting one, or changing what it returns, breaks only the benchmark, so
+this guards those contracts from the test suite."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from partlab import enumeration, families
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -28,3 +31,17 @@ def test_traced_attribute_is_callable(module_name, attr):
     module = importlib.import_module(f"partlab.{module_name}")
     assert callable(getattr(module, attr, None)), f"partlab.{module_name}.{attr}"
 
+
+
+@pytest.mark.parametrize("family,family_kind", [("d_e", "class"), ("a", "stat")])
+def test_fold_count_is_one_int_per_weight(family, family_kind):
+    # The tracer counts the rows of a counting call as
+    # enumeration.pair_sequences.items, so a generator or list here would
+    # zero or skew that metric.
+    spec = families.get_spec(family)
+    assert spec.kind == family_kind
+    kind = spec.enum_kind({}) if spec.enum_kind is not None else enumeration.ALL
+    got = enumeration.pair_sequences(12, kind, None, spec.make_fold())
+    assert type(got) is tuple and len(got) == 13
+    assert all(type(value) is int for value in got)
+    assert got == families.enum_values(family, 12)

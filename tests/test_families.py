@@ -77,6 +77,18 @@ def test_oracle_series_agreement_full_grid():
             assert count_enum(family, n, params) == series.coeffs[n], (family, params, n)
 
 
+def test_oracle_series_agreement_deep():
+    # Counting and the series engine stay independent, so agreement far past
+    # the default sizes checks both.
+    for family, params in closed_form_cells():
+        assert enum_values(family, 100, params, cap=100) == series_for(family, params, 100).coeffs[:101], (
+            family, params)
+    d_e = enum_values("d_e", 400, cap=400)
+    series = series_for("d_e", order=400).coeffs
+    for n in range(1, 401):
+        assert d_e[n] == recurrence_d_e(n) == series[n], n
+
+
 def test_signed_families_are_piece_differences():
     for n in range(21):
         assert count_enum("c", n) == count_enum("c_o", n) - count_enum("c_e", n)
@@ -182,7 +194,7 @@ def test_heavy_part_series_diverges_when_k_exceeds_p():
 
 def test_heavy_multiplicity_band_dies_but_larger_multiplicity_qualifies():
     # For (alpha, k, p) = (4, 2, 2) a multiplicity of 2 or 3 is fatal, yet 4
-    # and 5 qualify: the walk must try every multiplicity, not stop at the
+    # and 5 qualify: counting must try every multiplicity, not stop at the
     # first dead one.
     cell = {"alpha": 4, "k": 2, "p": 2}
     member = membership("g_alpha_odd", cell)
