@@ -33,11 +33,9 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_DOMAIN = 4
 
-_PARAM_FLAGS = ("t", "p", "k", "r", "i", "alpha", "offset")
-
 
 def _collect_params(args: argparse.Namespace) -> dict[str, int]:
-    return {name: getattr(args, name) for name in _PARAM_FLAGS
+    return {name: getattr(args, name) for name in identities.PARAM_NAMES
             if getattr(args, name, None) is not None}
 
 
@@ -162,7 +160,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
-    for name in _PARAM_FLAGS:
+    for name in identities.PARAM_NAMES:
         parser.add_argument(f"--{name}", type=int, default=None,
                             help=f"family/identity parameter {name}")
 

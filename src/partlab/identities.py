@@ -21,7 +21,8 @@ from .errors import DomainError, UnknownIdentityError
 
 Params = dict[str, int]
 
-_PARAM_ORDER = ("t", "p", "k", "r", "i", "alpha", "offset")
+# Every parameter name, in report order; the CLI takes one flag per name.
+PARAM_NAMES = ("t", "p", "k", "r", "i", "alpha", "offset")
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ class IdentityReport:
 
 
 def format_params(params: Mapping[str, int], sep: str = ",") -> str:
-    keys = sorted(params, key=lambda k: (_PARAM_ORDER.index(k) if k in _PARAM_ORDER else 99, k))
+    keys = sorted(params, key=lambda k: (PARAM_NAMES.index(k) if k in PARAM_NAMES else 99, k))
     return sep.join(f"{k}={params[k]}" for k in keys)
 
 

@@ -56,7 +56,7 @@ class Partition:
 
     def multiplicity(self, part: int) -> int:
         """Multiplicity of ``part`` in the multiset, 0 if absent."""
-        if not isinstance(part, int) or part < 1:
+        if not isinstance(part, int) or isinstance(part, bool) or part < 1:
             raise InvalidPartitionError(f"part must be a positive integer, got {part!r}")
         for p, m in self.pairs:
             if p == part:

@@ -180,6 +180,10 @@ def test_exhaustive_cell_check_unknown():
     ("genr", {"p": 2, "k": 2, "r": 0, "t": 2}, 3),
     ("glaisher", {}, 3),
     ("dpk", {"p": 2, "k": 2, "r": 0}, 4),
+    ("glaisher", {"t": 1}, 4),
+    ("genr", {"p": 2, "k": 2, "r": 2}, 4),
+    ("genr", {"p": 1, "k": 2, "r": 0}, 4),
+    ("dpk", {"p": 1, "k": 4}, 4),
 ])
 def test_exhaustive_cell_check_rejects_cell_before_enumerating(name, params, n, monkeypatch):
     def no_enumeration(*args, **kwargs):
@@ -200,6 +204,26 @@ def test_exhaustive_cell_check_rejects_bad_values(name, params):
     for n in (0, 1, 4):
         with pytest.raises(DomainError):
             bj.exhaustive_cell_check(name, params, n)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("glaisher", {"t": 3}),
+    ("genr", {"p": 3, "k": 2, "r": 1}),
+    ("dpk", {"p": 2, "k": 3}),
+    ("var0", {"r": 1}),
+])
+def test_sweep_enumerates_only_the_domain(name, params, monkeypatch):
+    calls = []
+    original = families.enumerate_class
+
+    def recording(family, n, family_params=None, cap=None):
+        calls.append((family, n, family_params))
+        return original(family, n, family_params, cap)
+
+    monkeypatch.setattr(families, "enumerate_class", recording)
+    assert bj.exhaustive_cell_check(name, params, 12) == []
+    (family, family_params), _ = bj.BIJECTIONS[name].classes(params)
+    assert calls == [(family, 12, family_params)]
 
 
 # --- the sweep reports injected faults instead of raising --------------------
@@ -225,6 +249,16 @@ def test_sweep_reports_two_sources_on_one_image(monkeypatch):
     failures = bj.exhaustive_cell_check("glaisher", {"t": 2}, 4)
     assert any("not injective" in f for f in failures)
     assert any("not surjective" in f for f in failures)
+
+
+def test_sweep_reports_weight_the_image_only_declares(monkeypatch):
+    # The faulty image 1^3 declares the source's weight 4, and membership
+    # predicates ignore weight, so only a weight read off the pairs sees it.
+    _inject(monkeypatch, "glaisher",
+            lambda x, y: Partition._raw(((1, 3),), x.weight) if x == P("4") else y)
+    _inject(monkeypatch, "glaisher_inv", lambda x, y: P("4") if x == P("1^3") else y)
+    failures = bj.exhaustive_cell_check("glaisher", {"t": 2}, 4)
+    assert failures == ["weight changed: 4 -> 1^3", "not surjective at n=4: |image|=1 vs |class|=2"]
 
 
 def test_sweep_reports_wrong_inverse(monkeypatch):

@@ -64,6 +64,8 @@ def test_multiplicity_lookup():
     assert Partition().multiplicity(1) == 0
     with pytest.raises(InvalidPartitionError):
         p.multiplicity(0)
+    with pytest.raises(InvalidPartitionError):
+        parse_partition("3,1^2").multiplicity(True)
 
 
 @given(pair_lists)
