@@ -193,10 +193,7 @@ def dpk_to_dp(p: int, k: int, partition: Partition) -> BijectionTrace:
     _require_member("d_k", {"k": pk}, partition)
     if partition.is_empty():
         return _trace(partition, partition, [])
-    heavy = [(part, mult) for part, mult in partition.pairs if mult >= pk]
-    if len(heavy) != 1:
-        raise DomainError(f"expected exactly one part with multiplicity >= {pk}")
-    j, m = heavy[0]
+    j, m = next((part, mult) for part, mult in partition.pairs if mult >= pk)
     q, i = divmod(m, pk)
     steps: list[TraceStep] = [
         TraceStep(f"split {j}^{m} = {j}^{pk * q} + {j}^{i}", Partition(((j, pk * q),))),
@@ -239,10 +236,7 @@ def dp_to_dpk(p: int, k: int, partition: Partition) -> BijectionTrace:
     _require_member("d_pkr", {"p": p, "k": k, "r": 0}, partition)
     if partition.is_empty():
         return _trace(partition, partition, [])
-    heavy = [(part, mult) for part, mult in partition.pairs if part % p == 0 and mult >= k]
-    if len(heavy) != 1:
-        raise DomainError(f"expected exactly one part divisible by {p} with multiplicity >= {k}")
-    s, m = heavy[0]
+    s, m = next((part, mult) for part, mult in partition.pairs if part % p == 0 and mult >= k)
     t, f = divmod(m, k)
     steps: list[TraceStep] = [
         TraceStep(f"split {s}^{m} = {s}^{k * t} + {s}^{f}", Partition(((s, k * t),))),

@@ -76,11 +76,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
         if lo < 0 or hi < lo:
             raise _UsageError(f"bad range {lo}..{hi}")
         if args.engine == "series":
-            rows = [(n, families.count_series(args.family, n, params, order=args.order))
-                    for n in range(lo, hi + 1)]
+            values = families.series_for(args.family, params, hi).coeffs
         else:
             values = families.enum_values(args.family, hi, params, cap=args.max_n)
-            rows = [(n, values[n]) for n in range(lo, hi + 1)]
+        rows = [(n, values[n]) for n in range(lo, hi + 1)]
     except DomainError as exc:
         raise _UsageError(str(exc)) from exc
     _emit_rows(rows, args.format)
@@ -180,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--engine", choices=("enum", "series"), default="enum")
     p_table.add_argument("--format", choices=("csv", "json", "pretty"), default="csv")
     p_table.add_argument("--max-n", type=int, default=None, help="enumeration cap override")
-    p_table.add_argument("--order", type=int, default=None, help="series order override")
     p_table.set_defaults(func=_cmd_table)
 
     p_series = sub.add_parser("series", help="dump closed-form coefficients as n,coefficient rows")

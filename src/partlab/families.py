@@ -479,14 +479,11 @@ def series_for(family: str, params: Params | None = None, order: int | None = No
     return cached
 
 
-def count_series(family: str, n: int, params: Params | None = None, order: int | None = None) -> int:
-    """Value of the family at n read off its closed-form series, built to
-    ``order`` when given (which must be at least n)."""
+def count_series(family: str, n: int, params: Params | None = None) -> int:
+    """Value of the family at n read off its closed-form series."""
     if n < 0:
         raise DomainError(f"index must be nonnegative, got {n}")
-    if order is not None and order < n:
-        raise DomainError(f"series order {order} is below the requested index {n}")
-    return series_for(family, params, n if order is None else order).coeffs[n]
+    return series_for(family, params, n).coeffs[n]
 
 
 def _class_acceptor(family: str, params: Params | None) -> tuple[Callable[[PairSeq], bool], EnumKind]:

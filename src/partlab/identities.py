@@ -59,7 +59,6 @@ class IdentitySpec:
     grid: tuple[tuple[tuple[str, int], ...], ...]
     engines: tuple[str, ...]
     enum_n_max: int
-    series_n_max: int = 200
     sides: Callable[[Params], tuple[tuple[Side, ...], ...]] | None = None
     n_lo: int = 0
     modulus: int | None = None
@@ -176,7 +175,7 @@ def _check_i14(params: Params, n_max: int, engine: str) -> Counterexample | None
         return None
     # Enumeration engine: the unsigned pieces against their series.
     for fid in ("g_alpha_odd", "g_alpha_even"):
-        series = families.series_for(fid, cell)
+        series = families.series_for(fid, cell, n_max)
         values = families.enum_values(fid, n_max, cell)
         for n in range(0, n_max + 1):
             lhs = values[n]
@@ -317,7 +316,7 @@ def _resolve_n_max(spec: IdentitySpec, engine: str, n_max: int | None) -> int:
         if n_max < 1:
             raise DomainError(f"n_max must be >= 1, got {n_max}")
         return n_max
-    return spec.series_n_max if engine == "series" else spec.enum_n_max
+    return qseries.DEFAULT_ORDER if engine == "series" else spec.enum_n_max
 
 
 def _match_cell(spec: IdentitySpec, params: Mapping[str, int] | None) -> list[Params]:

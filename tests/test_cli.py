@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from partlab import cli, identities
+import partlab
+from partlab import cli, families, identities, qseries
 from partlab.enumeration import CAP_ENV_VAR
 
 
@@ -38,13 +42,37 @@ def test_table_series_engine_matches_enum(capsys):
     assert enum_out == series_out
 
 
-def test_table_series_order_must_cover_n(capsys):
-    code, _, err = run(capsys, "table", "d_e", "8", "--engine", "series", "--order", "3")
-    assert code == 2
-    assert "order" in err
-    code, out, _ = run(capsys, "table", "d_e", "8", "--engine", "series", "--order", "8")
+def test_table_series_range_builds_one_series(capsys, monkeypatch):
+    # Start uncached: earlier tests may have built "s" past the top of this range.
+    monkeypatch.setattr(families, "_series_cache", {})
+    builds = []
+    original = qseries.gf_family
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qseries, "gf_family", counting)
+    code, out, _ = run(capsys, "table", "s", "195..260", "--engine", "series")
     assert code == 0
-    assert out.strip() == "8,6"
+    assert len(builds) == 1
+    assert out.splitlines() == [f"{n},{families.count_series('s', n)}" for n in range(195, 261)]
+
+
+def test_table_rejects_order(capsys):
+    for engine in ("series", "enum"):
+        code, _, err = run(capsys, "table", "d_e", "8", "--engine", engine, "--order", "8")
+        assert code == 2
+        assert "--order" in err
+
+
+def test_python_dash_m_entry_point():
+    src = os.path.dirname(os.path.dirname(partlab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "partlab", "table", "d_e", "8", "8"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == "8,6\n"
 
 
 def test_table_formats(capsys):

@@ -28,9 +28,6 @@ def test_count_series_values():
     assert count_series("f0", 8) == 6
     assert count_series("s", 5) == 7
     assert count_series("o_p", 0, {"p": 2}) == 0
-    assert count_series("s", 5, order=5) == 7
-    with pytest.raises(DomainError):
-        count_series("s", 5, order=4)  # an explicit order must cover n
 
 
 def test_count_series_beyond_default_order():

@@ -227,3 +227,11 @@ def test_enum_engine_past_the_cap_fails_before_walking(identity_id, params, monk
     monkeypatch.setattr(enumeration, "pair_sequences", no_walk)
     with pytest.raises(ResourceLimitError, match="n=81 exceeds the cap 80"):
         verify(identity_id, params, n_max=81, engine="enum")
+
+
+def test_i14_enum_engine_past_the_default_order(monkeypatch):
+    # The series side is built to n_max, not only to qseries.DEFAULT_ORDER.
+    monkeypatch.setenv(enumeration.CAP_ENV_VAR, "210")
+    report = verify("I14", {"p": 2, "k": 2, "alpha": 2}, n_max=210, engine="enum")
+    assert report.holds
+    assert report.n_max == 210
