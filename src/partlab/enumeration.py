@@ -18,11 +18,11 @@ Neither uses generating-function knowledge.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
 from .errors import DomainError, ResourceLimitError
+from .limits import resolve_limit
 from .partition import Pair, Partition
 
 DEFAULT_CAP = 80
@@ -64,20 +64,7 @@ def multiplicity_at_most(b: int) -> EnumKind:
 def resolve_cap(cap: int | None = None) -> int:
     """Effective enumeration cap: explicit argument, else the PARTLAB_MAX_N
     environment variable, else the built-in default."""
-    if cap is not None:
-        if cap < 0:
-            raise DomainError(f"cap must be nonnegative, got {cap}")
-        return cap
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_CAP
-    try:
-        value = int(raw)
-    except ValueError:
-        raise DomainError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise DomainError(f"{CAP_ENV_VAR} must be nonnegative, got {value}")
-    return value
+    return resolve_limit(cap, CAP_ENV_VAR, DEFAULT_CAP, "cap")
 
 
 def _check_request(n: int, cap: int | None) -> None:

@@ -1,0 +1,27 @@
+"""Resource bounds: the enumeration cap (``PARTLAB_MAX_N``) and the series
+order bound (``PARTLAB_MAX_ORDER``) resolve the same way."""
+
+from __future__ import annotations
+
+import os
+
+from .errors import DomainError
+
+
+def resolve_limit(explicit: int | None, env_var: str, default: int, name: str) -> int:
+    """Effective bound: the explicit argument, else the environment variable
+    ``env_var``, else ``default``.  ``name`` labels a bad explicit value."""
+    if explicit is not None:
+        if explicit < 0:
+            raise DomainError(f"{name} must be nonnegative, got {explicit}")
+        return explicit
+    raw = os.environ.get(env_var)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        raise DomainError(f"{env_var} must be an integer, got {raw!r}") from None
+    if value < 0:
+        raise DomainError(f"{env_var} must be nonnegative, got {value}")
+    return value

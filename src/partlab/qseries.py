@@ -11,9 +11,12 @@ from __future__ import annotations
 from typing import Callable, Iterable, Mapping
 
 from . import numtheory
-from .errors import DomainError, OrderMismatchError, UnsupportedFamilyError
+from .errors import DomainError, OrderMismatchError, ResourceLimitError, UnsupportedFamilyError
+from .limits import resolve_limit
 
 DEFAULT_ORDER = 200
+DEFAULT_MAX_ORDER = 10_000
+MAX_ORDER_ENV_VAR = "PARTLAB_MAX_ORDER"
 
 
 class Series:
@@ -77,17 +80,22 @@ def scale(a: Series, c: int) -> Series:
     return Series(c * x for x in a.coeffs)
 
 
+def _terms(a: Series) -> list[tuple[int, int]]:
+    """The (exponent, coefficient) pairs of a's nonzero coefficients."""
+    return [(i, c) for i, c in enumerate(a.coeffs) if c]
+
+
 def mul(a: Series, b: Series) -> Series:
+    """Product, one shifted row of the denser operand per nonzero term of the
+    sparser one."""
     order = _same_order(a, b)
-    ac, bc = a.coeffs, b.coeffs
+    terms, dense = _terms(a), b.coeffs
+    other = _terms(b)
+    if len(other) < len(terms):
+        terms, dense = other, a.coeffs
     out = [0] * (order + 1)
-    for i, ai in enumerate(ac):
-        if not ai:
-            continue
-        for j in range(order + 1 - i):
-            bj = bc[j]
-            if bj:
-                out[i + j] += ai * bj
+    for i, ai in terms:
+        out[i:] = [x + ai * y for x, y in zip(out[i:], dense)]
     return Series(out)
 
 
@@ -96,16 +104,15 @@ def inverse(a: Series) -> Series:
     a0 = a.coeffs[0]
     if a0 not in (1, -1):
         raise DomainError(f"inverse needs constant coefficient +-1, got {a0}")
-    order = a.order
-    ac = a.coeffs
-    out = [0] * (order + 1)
+    terms = _terms(a)[1:]
+    out = [0] * (a.order + 1)
     out[0] = a0
-    for n in range(1, order + 1):
+    for n in range(1, a.order + 1):
         s = 0
-        for k in range(1, n + 1):
-            ak = ac[k]
-            if ak:
-                s += ak * out[n - k]
+        for k, ak in terms:
+            if k > n:
+                break
+            s += ak * out[n - k]
         out[n] = -a0 * s
     return Series(out)
 
@@ -191,15 +198,27 @@ def cube_series(order: int) -> Series:
 # ---------------------------------------------------------------------------
 
 
+# The partition series 1/(q;q)_inf at the largest order built so far, as a
+# one-element list (empty until the first build).
+_partition_series: list[Series] = []
+
+
+def _gf_unrestricted(order: int) -> Series:
+    """1/(q;q)_inf, inverted once per larger order: every smaller request is
+    a prefix of the held series, since a truncation of an exact series is.
+    (q;q)_inf is read off the pentagonal theorem, which costs O(sqrt N)
+    where the factor-by-factor product costs O(N^2)."""
+    if not _partition_series or _partition_series[0].order < order:
+        _partition_series[:] = [inverse(pentagonal_series(order))]
+    held = _partition_series[0]
+    return held if held.order == order else Series(held.coeffs[:order + 1])
+
+
 def _poch_ratio(offset: int, step: int, order: int) -> Series:
     """(product of 1 - q^(offset + step*i)) / (product of 1 - q^j): partitions
     avoiding the residue class offset mod step (with offset = step: no part
     divisible by step)."""
-    return mul(pochhammer(offset, step, order), inverse(pochhammer(1, 1, order)))
-
-
-def _gf_unrestricted(order: int) -> Series:
-    return inverse(pochhammer(1, 1, order))
+    return mul(pochhammer(offset, step, order), _gf_unrestricted(order))
 
 
 def _gf_a_r(order: int, p: int, r: int) -> Series:
@@ -301,13 +320,19 @@ def gf_family(family: str, params: Mapping[str, int] | None = None, order: int =
     """Build the closed-form generating function of a family, truncated.
 
     Raises UnsupportedFamilyError for families whose counting definition has
-    no closed form here.
+    no closed form here, and ResourceLimitError past the order bound
+    (PARTLAB_MAX_ORDER, else DEFAULT_MAX_ORDER).
     """
     builder = GF_BUILDERS.get(family)
     if builder is None:
         raise UnsupportedFamilyError(f"family {family!r} has no closed-form generating function")
     if order < 0:
         raise DomainError(f"order must be nonnegative, got {order}")
+    limit = resolve_limit(None, MAX_ORDER_ENV_VAR, DEFAULT_MAX_ORDER, "order bound")
+    if order > limit:
+        raise ResourceLimitError(
+            f"series order {order} exceeds the bound {limit} (raise it via {MAX_ORDER_ENV_VAR})"
+        )
     kwargs = dict(params or {})
     try:
         return builder(order, **kwargs)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from partlab import enumeration, families
+from partlab import enumeration, families, qseries
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -31,6 +31,25 @@ def test_traced_attribute_is_callable(module_name, attr):
     module = importlib.import_module(f"partlab.{module_name}")
     assert callable(getattr(module, attr, None)), f"partlab.{module_name}.{attr}"
 
+
+def test_partition_series_inverted_once_per_larger_order(monkeypatch):
+    # series-deep's REACHED list needs qseries.inverse.calls > 0; the shared
+    # partition series keeps it at one call per order larger than any built.
+    monkeypatch.setattr(qseries, "_partition_series", [])
+    calls = []
+    original = qseries.inverse
+
+    def counting(a):
+        calls.append(a.order)
+        return original(a)
+
+    monkeypatch.setattr(qseries, "inverse", counting)
+    cells = families.closed_form_cells()
+    assert len(cells) == 212
+    for order, inverted in ((100, [100]), (50, [100]), (150, [100, 150])):
+        for family, params in cells:
+            qseries.gf_family(family, params, order)
+        assert calls == inverted, order
 
 
 @pytest.mark.parametrize("family,family_kind", [("d_e", "class"), ("a", "stat")])

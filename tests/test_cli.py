@@ -241,6 +241,18 @@ def test_env_cap_and_flag_precedence(capsys, monkeypatch):
     assert out.strip() == "11,56"
 
 
+@pytest.mark.parametrize("argv", [
+    ("table", "s", "6000", "6000", "--engine", "series"),
+    ("series", "s", "--order", "6000"),
+    ("verify", "I14", "--engine", "series", "--n-max", "6000"),
+])
+def test_series_order_bound_exit_code(capsys, monkeypatch, argv):
+    monkeypatch.setenv(qseries.MAX_ORDER_ENV_VAR, "5000")
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert "order 6000 exceeds the bound 5000" in err
+
+
 def test_usage_error_exit_code(capsys):
     assert cli.main(["table"]) == 2
     assert cli.main([]) == 2

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from partlab import qseries
-from partlab.errors import DomainError, OrderMismatchError, UnsupportedFamilyError
+from partlab.errors import DomainError, OrderMismatchError, ResourceLimitError, UnsupportedFamilyError
 from partlab.numtheory import sigma0
 from partlab.qseries import (
     Series,
@@ -192,3 +192,56 @@ def test_coefficient_indexing():
     assert s[0] == 5 and s[2] == 7
     with pytest.raises(IndexError):
         s[3]
+
+
+def _schoolbook_mul(a, b):
+    out = [0] * len(a)
+    for i in range(len(a)):
+        for j in range(len(a) - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def _schoolbook_inverse(a):
+    # a[0] is +-1, so it is its own inverse.
+    out = [a[0]] + [0] * (len(a) - 1)
+    for n in range(1, len(a)):
+        for k in range(1, n + 1):
+            out[n] -= a[0] * a[k] * out[n - k]
+    return out
+
+
+def _signed_series(order):
+    """Signed coefficient lists of length order + 1 with runs of zeros, so that
+    the sparse loops meet empty, sparse and dense operands."""
+    runs = st.one_of(st.lists(st.just(0), min_size=1, max_size=20),
+                     st.lists(st.integers(-99, 99), min_size=1, max_size=6))
+    return st.lists(runs, max_size=12).map(
+        lambda rs: ([c for run in rs for c in run] + [0] * (order + 1))[:order + 1])
+
+
+@given(st.integers(0, 60).flatmap(lambda order: st.tuples(_signed_series(order), _signed_series(order))))
+def test_mul_matches_schoolbook(pair):
+    xs, ys = pair
+    want = tuple(_schoolbook_mul(xs, ys))
+    assert mul(Series(xs), Series(ys)).coeffs == want
+    assert mul(Series(ys), Series(xs)).coeffs == want
+
+
+@given(st.integers(0, 60).flatmap(_signed_series), st.sampled_from([1, -1]))
+def test_inverse_matches_schoolbook(xs, a0):
+    coeffs = [a0] + xs[1:]
+    assert inverse(Series(coeffs)).coeffs == tuple(_schoolbook_inverse(coeffs))
+
+
+def test_order_bound(monkeypatch):
+    monkeypatch.setenv(qseries.MAX_ORDER_ENV_VAR, "50")
+    assert gf_family("s", {}, 50).order == 50
+    with pytest.raises(ResourceLimitError, match="order 51 exceeds the bound 50"):
+        gf_family("s", {}, 51)
+    monkeypatch.setenv(qseries.MAX_ORDER_ENV_VAR, "many")
+    with pytest.raises(DomainError):
+        gf_family("s", {}, 5)
+    monkeypatch.delenv(qseries.MAX_ORDER_ENV_VAR)
+    with pytest.raises(ResourceLimitError):
+        gf_family("s", {}, qseries.DEFAULT_MAX_ORDER + 1)
