@@ -164,14 +164,12 @@ def _check_i14(params: Params, n_max: int, engine: str) -> Counterexample | None
     if engine == "series":
         # Two independently built series: the parity-split sum over the
         # tracked repeated part versus the folded alternating-sign form.
-        lhs = qseries.add(
-            qseries.gf_family("g_alpha_odd", cell, n_max),
-            qseries.negate(qseries.gf_family("g_alpha_even", cell, n_max)),
-        )
-        rhs = qseries.gf_family("g_alpha", cell, n_max)
+        odd, even, signed = (families.series_for(fid, cell, n_max).coeffs
+                             for fid in ("g_alpha_odd", "g_alpha_even", "g_alpha"))
         for n in range(n_max + 1):
-            if lhs.coeffs[n] != rhs.coeffs[n]:
-                return Counterexample(n, lhs.coeffs[n], rhs.coeffs[n])
+            lhs = odd[n] - even[n]
+            if lhs != signed[n]:
+                return Counterexample(n, lhs, signed[n])
         return None
     # Enumeration engine: the unsigned pieces against their series.
     for fid in ("g_alpha_odd", "g_alpha_even"):

@@ -2,8 +2,9 @@
 
 All infinite products and sums are kept as truncations at a fixed order N;
 arithmetic never silently drops below the operands' common order.  The module
-also houses the closed-form generating function builders for the counting
-families (``gf_family``).
+also builds the closed-form generating functions of the counting families
+(``gf_family``).  Each is 1/(q;q)_inf or has one shape, a numerator
+(q^c; q^step)_inf times a Lambert-type sum, divided by (q;q)_inf.
 """
 
 from __future__ import annotations
@@ -99,22 +100,28 @@ def mul(a: Series, b: Series) -> Series:
     return Series(out)
 
 
-def inverse(a: Series) -> Series:
-    """Multiplicative inverse; the constant coefficient must be +1 or -1."""
+def quotient(x: Series, a: Series) -> Series:
+    """x / a, by y_n = a0 (x_n - sum of a_k y_(n-k)) over a's nonzero terms
+    with k >= 1; the constant coefficient a0 must be +1 or -1."""
+    order = _same_order(x, a)
     a0 = a.coeffs[0]
     if a0 not in (1, -1):
-        raise DomainError(f"inverse needs constant coefficient +-1, got {a0}")
+        raise DomainError(f"division needs constant coefficient +-1, got {a0}")
     terms = _terms(a)[1:]
-    out = [0] * (a.order + 1)
-    out[0] = a0
-    for n in range(1, a.order + 1):
-        s = 0
+    out = list(x.coeffs)
+    for n in range(order + 1):
+        s = out[n]
         for k, ak in terms:
             if k > n:
                 break
-            s += ak * out[n - k]
-        out[n] = -a0 * s
+            s -= ak * out[n - k]
+        out[n] = a0 * s
     return Series(out)
+
+
+def inverse(a: Series) -> Series:
+    """Multiplicative inverse; the constant coefficient must be +1 or -1."""
+    return quotient(Series.one(a.order), a)
 
 
 def pochhammer(offset: int, step: int, order: int) -> Series:
@@ -145,15 +152,6 @@ def pochhammer_plus(offset: int, step: int, order: int) -> Series:
     return Series(c)
 
 
-def _accumulate_geometric(c: list[int], numer_exp: int, denom_exp: int, sign: int = 1) -> None:
-    """Add q^numer_exp / (1 - sign*q^denom_exp) into a coefficient list."""
-    order = len(c) - 1
-    s = 1
-    for e in range(numer_exp, order + 1, denom_exp):
-        c[e] += s
-        s *= sign
-
-
 def lambert(offset: int, step: int, sign: int, order: int) -> Series:
     """Sum over m >= 0 of q^e / (1 - sign*q^e) with e = offset + m*step.
 
@@ -166,17 +164,22 @@ def lambert(offset: int, step: int, sign: int, order: int) -> Series:
         raise DomainError(f"lambert sign must be +1 or -1, got {sign}")
     c = [0] * (order + 1)
     for e in range(offset, order + 1, step):
-        _accumulate_geometric(c, e, e, sign)
+        s = 1
+        for m in range(e, order + 1, e):
+            c[m] += s
+            s *= sign
     return Series(c)
 
 
-def pentagonal_series(order: int) -> Series:
-    """Theta-style expansion of the product of (1 - q^i): exponents are the
-    generalized pentagonal numbers j(3j +- 1)/2 with sign (-1)^j."""
+def pentagonal_series(order: int, step: int = 1) -> Series:
+    """(q^step; q^step)_inf read off the pentagonal theorem: exponents step
+    times the generalized pentagonal numbers j(3j +- 1)/2, sign (-1)^j."""
+    if step < 1:
+        raise DomainError("pentagonal_series needs step >= 1")
     c = [0] * (order + 1)
     c[0] = 1
-    for term in numtheory.pentagonal_terms(order):
-        for e in (term.exponent_minus, term.exponent_plus):
+    for term in numtheory.pentagonal_terms(order // step):
+        for e in (step * term.exponent_minus, step * term.exponent_plus):
             if e <= order:
                 c[e] += term.sign
     return Series(c)
@@ -194,126 +197,68 @@ def cube_series(order: int) -> Series:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form generating functions, one builder per family that has one.
+# Closed-form generating functions.  Every family except s = 1/(q;q)_inf is
+# (q^c; q^step)_inf * S / (q;q)_inf for a Lambert-type sum S, and its entry
+# in CLOSED_FORMS gives ((c, step), S) at an order.  With c = step the
+# numerator is the pentagonal series in q^step; (-q;q)_inf, the product for
+# a, c, a_r and g_r, is (q^2;q^2)_inf / (q;q)_inf.
 # ---------------------------------------------------------------------------
 
-
-# The partition series 1/(q;q)_inf at the largest order built so far, as a
-# one-element list (empty until the first build).
-_partition_series: list[Series] = []
+Form = tuple[tuple[int, int], Series]
 
 
-def _gf_unrestricted(order: int) -> Series:
-    """1/(q;q)_inf, inverted once per larger order: every smaller request is
-    a prefix of the held series, since a truncation of an exact series is.
-    (q;q)_inf is read off the pentagonal theorem, which costs O(sqrt N)
-    where the factor-by-factor product costs O(N^2)."""
-    if not _partition_series or _partition_series[0].order < order:
-        _partition_series[:] = [inverse(pentagonal_series(order))]
-    held = _partition_series[0]
-    return held if held.order == order else Series(held.coeffs[:order + 1])
-
-
-def _poch_ratio(offset: int, step: int, order: int) -> Series:
-    """(product of 1 - q^(offset + step*i)) / (product of 1 - q^j): partitions
-    avoiding the residue class offset mod step (with offset = step: no part
-    divisible by step)."""
-    return mul(pochhammer(offset, step, order), _gf_unrestricted(order))
-
-
-def _gf_a_r(order: int, p: int, r: int) -> Series:
+def _a_r(order: int, p: int, r: int) -> Form:
     """Total count of parts in residue class -r mod p over distinct
-    partitions: (product of 1 + q^j) times a signed Lambert-type sum."""
-    return mul(pochhammer_plus(1, 1, order), lambert(p - r, p, -1, order))
+    partitions: (-q;q)_inf times a signed Lambert-type sum."""
+    return (2, 2), lambert(p - r, p, -1, order)
 
 
-def _gf_a_np(order: int, p: int) -> Series:
-    halo = add(lambert(p, p, 1, order), scale(lambert(p * p, p * p, 1, order), -p))
-    return mul(_poch_ratio(p, p, order), halo)
+def _h(order: int, p: int, i: int) -> Form:
+    """o_p_odd for i = p, o_p_even for i = 0."""
+    if i not in (p, 0):
+        raise DomainError(f"h requires i in {{0, p}}, got i={i} with p={p}")
+    return (p, p), lambert(p if i == p else 2 * p, 2 * p, 1, order)
 
 
-def _gf_o_p(order: int, p: int) -> Series:
-    return mul(_poch_ratio(p, p, order), lambert(p, p, 1, order))
-
-
-def _gf_o_p_odd(order: int, p: int) -> Series:
-    return mul(_poch_ratio(p, p, order), lambert(p, 2 * p, 1, order))
-
-
-def _gf_o_p_even(order: int, p: int) -> Series:
-    return mul(_poch_ratio(p, p, order), lambert(2 * p, 2 * p, 1, order))
-
-
-def _gf_h(order: int, p: int, i: int) -> Series:
-    if i == p:
-        return _gf_o_p_odd(order, p)
-    if i == 0:
-        return _gf_o_p_even(order, p)
-    raise DomainError(f"h requires i in {{0, p}}, got i={i} with p={p}")
-
-
-def _gf_f_pkr(order: int, p: int, k: int, r: int) -> Series:
+def _f_pkr(order: int, p: int, k: int, r: int) -> Form:
     # Singleton residue class k*r mod p*k; for r=0 the class starts at p*k.
     c = k * r if r else p * k
-    return mul(_poch_ratio(c, p * k, order), lambert(c, p * k, 1, order))
+    return (c, p * k), lambert(c, p * k, 1, order)
 
 
-def _gf_d_e(order: int) -> Series:
-    return _gf_f_pkr(order, 2, 2, 0)
-
-
-def _gf_d_o(order: int) -> Series:
-    return _gf_f_pkr(order, 2, 2, 1)
-
-
-def _gf_g_alpha_signed(order: int, alpha: int, k: int, p: int) -> Series:
-    return mul(_poch_ratio(k, k, order), lambert(alpha, p, -1, order))
-
-
-def _gf_g_alpha_parity(order: int, alpha: int, k: int, p: int, parity: int) -> Series:
-    """Parity split of the repeated-part tracker: sum over n of fixed parity
-    of q^(alpha*n) / (1 - q^(p*n)), times the multiplicity-bounded product."""
+def _heavy_parity(order: int, alpha: int, p: int, parity: int) -> Series:
+    """Sum over n >= 1 of parity n mod 2 of q^(alpha*n) / (1 - q^(p*n))."""
+    if alpha < 1 or p < 1:
+        raise DomainError("the heavy-part sum needs alpha >= 1 and p >= 1")
     c = [0] * (order + 1)
-    n = 1 if parity else 2
-    while alpha * n <= order:
-        _accumulate_geometric(c, alpha * n, p * n)
-        n += 2
-    return mul(_poch_ratio(k, k, order), Series(c))
+    for n in range(2 - parity, order // alpha + 1, 2):
+        for e in range(alpha * n, order + 1, p * n):
+            c[e] += 1
+    return Series(c)
 
 
-def _gf_g_alpha_odd(order: int, alpha: int, k: int, p: int) -> Series:
-    return _gf_g_alpha_parity(order, alpha, k, p, 1)
-
-
-def _gf_g_alpha_even(order: int, alpha: int, k: int, p: int) -> Series:
-    return _gf_g_alpha_parity(order, alpha, k, p, 0)
-
-
-GF_BUILDERS: dict[str, Callable[..., Series]] = {
-    "s": _gf_unrestricted,
-    "a": lambda order: _gf_a_r(order, 2, 0),
-    "c": lambda order: _gf_a_r(order, 2, 0),
-    "a_r": _gf_a_r,
-    "g_r": _gf_a_r,
-    "a_np": _gf_a_np,
-    "o_p": _gf_o_p,
-    "o_p_odd": _gf_o_p_odd,
-    "o_p_even": _gf_o_p_even,
-    "h": _gf_h,
-    "d_e": _gf_d_e,
-    "d_o": _gf_d_o,
-    "f0": _gf_d_e,
-    "f2": _gf_d_o,
-    "f_pkr": _gf_f_pkr,
-    "d_pkr": _gf_f_pkr,
-    "g_alpha": _gf_g_alpha_signed,
-    "g_alpha_odd": _gf_g_alpha_odd,
-    "g_alpha_even": _gf_g_alpha_even,
+# s maps to None: it is 1/(q;q)_inf, the inverse of the divisor.
+CLOSED_FORMS: dict[str, Callable[..., Form | None]] = {
+    "s": lambda order: None,
+    **dict.fromkeys(("a", "c"), lambda order: _a_r(order, 2, 0)),
+    **dict.fromkeys(("a_r", "g_r"), _a_r),
+    "a_np": lambda order, p: ((p, p), add(lambert(p, p, 1, order),
+                                          scale(lambert(p * p, p * p, 1, order), -p))),
+    "o_p": lambda order, p: ((p, p), lambert(p, p, 1, order)),
+    "o_p_odd": lambda order, p: _h(order, p, p),
+    "o_p_even": lambda order, p: _h(order, p, 0),
+    "h": _h,
+    **dict.fromkeys(("d_e", "f0"), lambda order: _f_pkr(order, 2, 2, 0)),
+    **dict.fromkeys(("d_o", "f2"), lambda order: _f_pkr(order, 2, 2, 1)),
+    **dict.fromkeys(("f_pkr", "d_pkr"), _f_pkr),
+    "g_alpha": lambda order, alpha, k, p: ((k, k), lambert(alpha, p, -1, order)),
+    "g_alpha_odd": lambda order, alpha, k, p: ((k, k), _heavy_parity(order, alpha, p, 1)),
+    "g_alpha_even": lambda order, alpha, k, p: ((k, k), _heavy_parity(order, alpha, p, 0)),
 }
 
 
 def has_closed_form(family: str) -> bool:
-    return family in GF_BUILDERS
+    return family in CLOSED_FORMS
 
 
 def gf_family(family: str, params: Mapping[str, int] | None = None, order: int = DEFAULT_ORDER) -> Series:
@@ -323,8 +268,8 @@ def gf_family(family: str, params: Mapping[str, int] | None = None, order: int =
     no closed form here, and ResourceLimitError past the order bound
     (PARTLAB_MAX_ORDER, else DEFAULT_MAX_ORDER).
     """
-    builder = GF_BUILDERS.get(family)
-    if builder is None:
+    form = CLOSED_FORMS.get(family)
+    if form is None:
         raise UnsupportedFamilyError(f"family {family!r} has no closed-form generating function")
     if order < 0:
         raise DomainError(f"order must be nonnegative, got {order}")
@@ -335,6 +280,11 @@ def gf_family(family: str, params: Mapping[str, int] | None = None, order: int =
         )
     kwargs = dict(params or {})
     try:
-        return builder(order, **kwargs)
+        shape = form(order, **kwargs)
     except TypeError as exc:
         raise DomainError(f"bad parameters {kwargs!r} for family {family!r}: {exc}") from None
+    if shape is None:
+        return inverse(pentagonal_series(order))
+    (c, step), total = shape
+    numerator = pentagonal_series(order, step) if c == step else pochhammer(c, step, order)
+    return quotient(mul(numerator, total), pentagonal_series(order))

@@ -32,24 +32,23 @@ def test_traced_attribute_is_callable(module_name, attr):
     assert callable(getattr(module, attr, None)), f"partlab.{module_name}.{attr}"
 
 
-def test_partition_series_inverted_once_per_larger_order(monkeypatch):
-    # series-deep's REACHED list needs qseries.inverse.calls > 0; the shared
-    # partition series keeps it at one call per order larger than any built.
-    monkeypatch.setattr(qseries, "_partition_series", [])
-    calls = []
-    original = qseries.inverse
-
-    def counting(a):
-        calls.append(a.order)
-        return original(a)
-
-    monkeypatch.setattr(qseries, "inverse", counting)
+def test_series_builds_reach_mul_and_inverse(monkeypatch):
+    # series-deep's REACHED list needs qseries.mul.calls and
+    # qseries.inverse.calls > 0: an s build inverts (q;q)_inf once, and the
+    # other closed forms multiply a numerator by their sum.
+    calls = {"mul": 0, "inverse": 0}
+    for name in calls:
+        def counting(*args, name=name, original=getattr(qseries, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(qseries, name, counting)
+    qseries.gf_family("s", {}, 100)
+    assert calls == {"mul": 0, "inverse": 1}
     cells = families.closed_form_cells()
     assert len(cells) == 212
-    for order, inverted in ((100, [100]), (50, [100]), (150, [100, 150])):
-        for family, params in cells:
-            qseries.gf_family(family, params, order)
-        assert calls == inverted, order
+    for family, params in cells:
+        qseries.gf_family(family, params, 100)
+    assert calls["inverse"] == 2 and calls["mul"] == 211
 
 
 @pytest.mark.parametrize("family,family_kind", [("d_e", "class"), ("a", "stat")])

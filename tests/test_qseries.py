@@ -16,6 +16,7 @@ from partlab.qseries import (
     pentagonal_series,
     pochhammer,
     pochhammer_plus,
+    quotient,
     scale,
 )
 
@@ -56,6 +57,8 @@ def test_inverse_requires_unit_constant():
         inverse(Series([2, 1]))
     with pytest.raises(DomainError):
         inverse(Series([0, 1]))
+    with pytest.raises(DomainError):
+        quotient(Series.one(1), Series([2, 1]))
 
 
 def test_order_mismatch_rejected():
@@ -63,6 +66,8 @@ def test_order_mismatch_rejected():
         add(Series.one(3), Series.one(4))
     with pytest.raises(OrderMismatchError):
         mul(Series.one(3), Series.one(4))
+    with pytest.raises(OrderMismatchError):
+        quotient(Series.one(3), Series.one(4))
 
 
 def test_pochhammer_pentagonal_prefix():
@@ -113,6 +118,8 @@ def test_lambert_validation():
 @pytest.mark.parametrize("order", [7, 50, 200])
 def test_pentagonal_series_matches_product(order):
     assert pentagonal_series(order) == pochhammer(1, 1, order)
+    for k in range(1, 7):
+        assert pentagonal_series(order, k) == pochhammer(k, k, order), k
 
 
 def test_cube_series_prefix():
@@ -170,6 +177,10 @@ def test_gf_family_bad_params():
         gf_family("a_r", {"p": 2}, 10)
     with pytest.raises(DomainError):
         gf_family("h", {"p": 3, "i": 1}, 10)
+    for family, params in (("s", {"k": 2}), ("a", {"p": 3}), ("d_e", {"r": 1}),
+                           ("o_p_odd", {"p": 3, "i": 0})):
+        with pytest.raises(DomainError):
+            gf_family(family, params, 10)
 
 
 @given(coeff_lists, coeff_lists)
@@ -211,6 +222,18 @@ def _schoolbook_inverse(a):
     return out
 
 
+def _schoolbook_quotient(x, a):
+    # Long division: peel off the leading term of the remainder, one
+    # coefficient at a time; a[0] is +-1, so it divides every term.
+    rest, out = list(x), []
+    for n in range(len(x)):
+        y = rest[n] * a[0]
+        out.append(y)
+        for k in range(len(a) - n):
+            rest[n + k] -= y * a[k]
+    return out
+
+
 def _signed_series(order):
     """Signed coefficient lists of length order + 1 with runs of zeros, so that
     the sparse loops meet empty, sparse and dense operands."""
@@ -232,6 +255,16 @@ def test_mul_matches_schoolbook(pair):
 def test_inverse_matches_schoolbook(xs, a0):
     coeffs = [a0] + xs[1:]
     assert inverse(Series(coeffs)).coeffs == tuple(_schoolbook_inverse(coeffs))
+
+
+@given(st.integers(0, 60).flatmap(lambda order: st.tuples(_signed_series(order), _signed_series(order))),
+       st.sampled_from([1, -1]))
+def test_quotient_matches_schoolbook(pair, a0):
+    xs, ys = pair
+    coeffs = [a0] + ys[1:]
+    want = tuple(_schoolbook_quotient(xs, coeffs))
+    assert quotient(Series(xs), Series(coeffs)).coeffs == want
+    assert inverse(Series(coeffs)) == quotient(Series.one(len(coeffs) - 1), Series(coeffs))
 
 
 def test_order_bound(monkeypatch):
