@@ -89,8 +89,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_series(args: argparse.Namespace) -> int:
     try:
         params = _collect_params(args)
-        series = qseries.gf_family(args.family, families.normalize_params(args.family, params),
-                                   args.order)
+        series = families.series_for(args.family, params, args.order)
     except DomainError as exc:
         raise _UsageError(str(exc)) from exc
     rows = list(enumerate(series.coeffs))

@@ -14,7 +14,7 @@ from typing import Callable, Mapping
 
 from . import enumeration, numtheory, qseries
 from .enumeration import ALL, DISTINCT, EnumKind, Fold, multiplicity_at_most
-from .errors import DomainError, UnknownFamilyError, UnsupportedFamilyError
+from .errors import DomainError, UnknownFamilyError
 from .partition import Pair, Partition
 
 Params = Mapping[str, int]
@@ -144,10 +144,6 @@ class FamilySpec:
     enum_kind: Callable[[dict], EnumKind] | None = None
     make_fold: Callable[..., Fold] | None = None
     combine: tuple[tuple[int, str], ...] = field(default_factory=tuple)
-
-    @property
-    def has_series(self) -> bool:
-        return qseries.has_closed_form(self.id)
 
 
 def _check(cond: bool, msg: str) -> None:
@@ -382,7 +378,6 @@ _register(FamilySpec(
 
 _enum_memo: dict[tuple[str, tuple[tuple[str, int], ...]], tuple[int, ...]] = {}
 _member_memo: dict[tuple[str, frozenset], Callable[[Partition], bool]] = {}
-_series_cache: dict[tuple[str, tuple[tuple[str, int], ...]], qseries.Series] = {}
 
 
 def family_ids() -> tuple[str, ...]:
@@ -464,19 +459,10 @@ def enum_values(family: str, n_max: int, params: Params | None = None,
 
 
 def series_for(family: str, params: Params | None = None, order: int | None = None) -> qseries.Series:
-    """Cached closed-form series for the family, built at the requested order
-    (at least the default order)."""
-    spec = get_spec(family)
+    """Closed-form series for the family, built at the requested order (the
+    default order when None) on every call."""
     norm = normalize_params(family, params)
-    if not spec.has_series:
-        raise UnsupportedFamilyError(f"family {family!r} has no closed-form generating function")
-    want = max(order if order is not None else 0, qseries.DEFAULT_ORDER)
-    key = (family, _params_key(norm))
-    cached = _series_cache.get(key)
-    if cached is None or cached.order < want:
-        cached = qseries.gf_family(family, norm, want)
-        _series_cache[key] = cached
-    return cached
+    return qseries.gf_family(family, norm, qseries.DEFAULT_ORDER if order is None else order)
 
 
 def count_series(family: str, n: int, params: Params | None = None) -> int:

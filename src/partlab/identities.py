@@ -95,16 +95,11 @@ def format_params(params: Mapping[str, int], sep: str = ",") -> str:
 # The relation runner and the bespoke checkers
 # ---------------------------------------------------------------------------
 
-Evaluator = Callable[[int], int]
-
-
-def _eval(fid: str, params: Mapping[str, int] | None, engine: str, n_max: int) -> Evaluator:
+def _eval(fid: str, params: Mapping[str, int] | None, engine: str, n_max: int) -> tuple[int, ...]:
+    """The family's values at 0..n_max by the given engine."""
     if engine == "enum":
-        return families.enum_values(fid, n_max, params).__getitem__
-    if engine == "series":
-        series = families.series_for(fid, params, n_max)
-        return lambda n: series.coeffs[n]
-    raise DomainError(f"engine must be 'enum' or 'series', got {engine!r}")
+        return families.enum_values(fid, n_max, params)
+    return families.series_for(fid, params, n_max).coeffs
 
 
 def _run_relation(spec: IdentitySpec, cell: Params, n_max: int, engine: str) -> Counterexample | None:
@@ -120,14 +115,14 @@ def _run_relation(spec: IdentitySpec, cell: Params, n_max: int, engine: str) -> 
         first, *others = [_eval(fid, fparams, engine, n_max) for fid, fparams in group]
         if kind == "congruence":
             for n in range(cell["offset"], n_max + 1, modulus):
-                value = first(n)
+                value = first[n]
                 if value % modulus != 0:
                     return Counterexample(n, value, 0)
             continue
         for n in range(spec.n_lo, n_max + 1):
-            lhs = first(n)
+            lhs = first[n]
             for other in others:
-                rhs = other(n)
+                rhs = other[n]
                 if kind == "signed-equality" and n % 2:
                     rhs = -rhs
                 differs = (lhs - rhs) % modulus if kind == "divisibility" else lhs != rhs
@@ -149,7 +144,7 @@ def _check_i9(params: Params, n_max: int, engine: str) -> Counterexample | None:
 def _check_i10(params: Params, n_max: int, engine: str) -> Counterexample | None:
     d_o = _eval("d_o", None, engine, n_max)
     for n in range(1, n_max + 1):
-        lhs = families.triangular_parity(d_o, n)
+        lhs = families.triangular_parity(d_o.__getitem__, n)
         if n % 2 == 1:
             rhs = 0
         else:
@@ -160,11 +155,10 @@ def _check_i10(params: Params, n_max: int, engine: str) -> Counterexample | None
 
 
 def _check_i14(params: Params, n_max: int, engine: str) -> Counterexample | None:
-    cell = {"alpha": params["alpha"], "k": params["k"], "p": params["p"]}
     if engine == "series":
         # Two independently built series: the parity-split sum over the
         # tracked repeated part versus the folded alternating-sign form.
-        odd, even, signed = (families.series_for(fid, cell, n_max).coeffs
+        odd, even, signed = (families.series_for(fid, params, n_max).coeffs
                              for fid in ("g_alpha_odd", "g_alpha_even", "g_alpha"))
         for n in range(n_max + 1):
             lhs = odd[n] - even[n]
@@ -173,11 +167,11 @@ def _check_i14(params: Params, n_max: int, engine: str) -> Counterexample | None
         return None
     # Enumeration engine: the unsigned pieces against their series.
     for fid in ("g_alpha_odd", "g_alpha_even"):
-        series = families.series_for(fid, cell, n_max)
-        values = families.enum_values(fid, n_max, cell)
+        series = families.series_for(fid, params, n_max).coeffs
+        values = families.enum_values(fid, n_max, params)
         for n in range(0, n_max + 1):
             lhs = values[n]
-            rhs = series.coeffs[n]
+            rhs = series[n]
             if lhs != rhs:
                 return Counterexample(n, lhs, rhs)
     return None

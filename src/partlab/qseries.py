@@ -38,10 +38,6 @@ class Series:
         return len(self.coeffs) - 1
 
     @classmethod
-    def zero(cls, order: int) -> "Series":
-        return cls([0] * (order + 1))
-
-    @classmethod
     def one(cls, order: int) -> "Series":
         return cls([1] + [0] * order)
 
@@ -71,10 +67,6 @@ def _same_order(a: Series, b: Series) -> int:
 def add(a: Series, b: Series) -> Series:
     _same_order(a, b)
     return Series(x + y for x, y in zip(a.coeffs, b.coeffs))
-
-
-def negate(a: Series) -> Series:
-    return Series(-x for x in a.coeffs)
 
 
 def scale(a: Series, c: int) -> Series:
@@ -255,10 +247,6 @@ CLOSED_FORMS: dict[str, Callable[..., Form | None]] = {
     "g_alpha_odd": lambda order, alpha, k, p: ((k, k), _heavy_parity(order, alpha, p, 1)),
     "g_alpha_even": lambda order, alpha, k, p: ((k, k), _heavy_parity(order, alpha, p, 0)),
 }
-
-
-def has_closed_form(family: str) -> bool:
-    return family in CLOSED_FORMS
 
 
 def gf_family(family: str, params: Mapping[str, int] | None = None, order: int = DEFAULT_ORDER) -> Series:

@@ -51,6 +51,25 @@ def test_series_builds_reach_mul_and_inverse(monkeypatch):
     assert calls["inverse"] == 2 and calls["mul"] == 211
 
 
+def test_every_series_read_builds_once(monkeypatch):
+    # series-deep's REACHED list needs families.series_for.builds > 0: the
+    # tracer counts the qseries.gf_family calls made inside series_for, and
+    # each read builds its series afresh, repeated reads included.
+    builds = []
+    original = qseries.gf_family
+
+    def counting(*args, **kwargs):
+        builds.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qseries, "gf_family", counting)
+    reads = [("s", None, 50), ("s", None, 50), ("s", None, None),
+             ("a_np", {"p": 5}, 60), ("a_np", {"p": 5}, 60), ("d_e", None, 10)]
+    for family, params, order in reads:
+        families.series_for(family, params, order)
+    assert builds == [family for family, _, _ in reads]
+
+
 @pytest.mark.parametrize("family,family_kind", [("d_e", "class"), ("a", "stat")])
 def test_fold_count_is_one_int_per_weight(family, family_kind):
     # The tracer counts the rows of a counting call as

@@ -43,8 +43,6 @@ def test_table_series_engine_matches_enum(capsys):
 
 
 def test_table_series_range_builds_one_series(capsys, monkeypatch):
-    # Start uncached: earlier tests may have built "s" past the top of this range.
-    monkeypatch.setattr(families, "_series_cache", {})
     builds = []
     original = qseries.gf_family
 
@@ -57,6 +55,17 @@ def test_table_series_range_builds_one_series(capsys, monkeypatch):
     assert code == 0
     assert len(builds) == 1
     assert out.splitlines() == [f"{n},{families.count_series('s', n)}" for n in range(195, 261)]
+
+
+@pytest.mark.parametrize("family,flags,top", [("a_np", ["--p", "5"], 12), ("d_e", [], 7)])
+def test_series_and_table_series_print_the_same_rows(capsys, family, flags, top):
+    # Both commands read through families.series_for.
+    code, series_out, _ = run(capsys, "series", family, *flags, "--order", str(top))
+    assert code == 0
+    code, table_out, _ = run(capsys, "table", family, f"0..{top}", *flags, "--engine", "series")
+    assert code == 0
+    assert series_out == table_out
+    assert len(series_out.splitlines()) == top + 1
 
 
 def test_table_rejects_order(capsys):

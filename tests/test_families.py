@@ -1,6 +1,6 @@
 import pytest
 
-from partlab import families
+from partlab import cli, families, qseries
 from partlab.errors import DomainError, ResourceLimitError, UnknownFamilyError, UnsupportedFamilyError
 from partlab.families import (
     closed_form_cells,
@@ -214,6 +214,20 @@ def test_cap_checked_on_memoized_table():
         families.enum_values("d_e", 50, cap=40)
     assert count_enum("d_e", 40, cap=40) == table[40]
     assert families.enum_values("d_e", 40, cap=40) == table[:41]
+
+
+def test_order_bound_checked_on_every_series_read(monkeypatch, capsys):
+    # A series built before the bound was lowered is not read past it.
+    assert series_for("s", None, 3000).order == 3000
+    monkeypatch.setenv(qseries.MAX_ORDER_ENV_VAR, "1000")
+    with pytest.raises(ResourceLimitError):
+        series_for("s", None, 3000)
+    with pytest.raises(ResourceLimitError):
+        count_series("s", 3000)
+    assert cli.main(["table", "s", "3000", "3000", "--engine", "series"]) == 3
+    assert "order 3000 exceeds the bound 1000" in capsys.readouterr().err
+    with pytest.raises(DomainError):
+        series_for("s", None, -1)
 
 
 def test_membership_memoized_per_family_and_params():

@@ -12,7 +12,6 @@ from partlab.qseries import (
     inverse,
     lambert,
     mul,
-    negate,
     pentagonal_series,
     pochhammer,
     pochhammer_plus,
@@ -31,7 +30,7 @@ def test_mul_telescopes_geometric():
 
 def test_add_negate_cancels():
     s = pochhammer(1, 1, 12)
-    assert add(s, negate(s)) == Series.zero(12)
+    assert add(s, scale(s, -1)) == Series([0] * 13)
 
 
 def test_product_with_inverse_is_one():
@@ -153,9 +152,9 @@ def test_weighted_geometric_sum_closed_form(p, n):
 
     x = power(step)
     x_p = power(step * p)
-    numerator = add(mul(x, add(Series.one(order), negate(x_p))),
-                    scale(mul(add(Series.one(order), negate(x)), x_p), -p))
-    denominator = mul(add(Series.one(order), negate(x)), add(Series.one(order), negate(x)))
+    numerator = add(mul(x, add(Series.one(order), scale(x_p, -1))),
+                    scale(mul(add(Series.one(order), scale(x, -1)), x_p), -p))
+    denominator = mul(add(Series.one(order), scale(x, -1)), add(Series.one(order), scale(x, -1)))
     assert mul(numerator, inverse(denominator)) == finite_series
 
 
