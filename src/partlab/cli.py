@@ -76,6 +76,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
         if lo < 0 or hi < lo:
             raise _UsageError(f"bad range {lo}..{hi}")
         if args.engine == "series":
+            if args.max_n is not None:
+                raise _UsageError("--max-n caps enumeration; it does not apply to --engine series")
             values = families.series_for(args.family, params, hi).coeffs
         else:
             values = families.enum_values(args.family, hi, params, cap=args.max_n)

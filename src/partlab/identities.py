@@ -9,14 +9,15 @@ CSV with stable field names.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from io import StringIO
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
-from . import families, numtheory, qseries
+from . import enumeration, families, numtheory, qseries
 from .errors import DomainError, UnknownIdentityError
 
 Params = dict[str, int]
@@ -32,16 +33,19 @@ class Counterexample:
     rhs: int
 
 
-Side = tuple[str, Params | None]
+# A side's values at 0..n_max: a family id evaluated by the run's engine, or a
+# sequence function of (params, engine, n_max) for a derived sequence.
+SequenceFn = Callable[[Params | None, str, int], Sequence[int]]
+Side = tuple[str | SequenceFn, Params | None]
 
 
 @dataclass(frozen=True)
 class IdentitySpec:
     """One registered claim.
 
-    Registry entries give ``sides``: for a grid cell, the groups of
-    (family, params) sides that the relation named by ``kind`` must hold
-    within.  Checked on n = n_lo..n_max, group by group:
+    ``sides`` gives, for a grid cell and an engine, the groups of sides
+    that the relation named by ``kind`` must hold within.  Checked on
+    n = n_lo..n_max, group by group:
 
     - ``equality``: every side equals side 0;
     - ``signed-equality``: side 0 equals (-1)^n times side 1;
@@ -49,17 +53,16 @@ class IdentitySpec:
     - ``congruence``: ``modulus`` divides side 0 at n = offset + modulus*m,
       with offset from the cell.
 
-    ``modulus`` None takes the cell's p.  Specs without ``sides`` (I9, I10
-    and I14) have their own checkers.
+    ``modulus`` None takes the cell's p.  Every claim is such an entry.
     """
 
     id: str
     description: str
-    kind: str  # the relations above | recurrence | parity | series-equality
+    kind: str  # one of the relations above
     grid: tuple[tuple[tuple[str, int], ...], ...]
     engines: tuple[str, ...]
     enum_n_max: int
-    sides: Callable[[Params], tuple[tuple[Side, ...], ...]] | None = None
+    sides: Callable[[Params, str], tuple[tuple[Side, ...], ...]]
     n_lo: int = 0
     modulus: int | None = None
 
@@ -92,7 +95,7 @@ def format_params(params: Mapping[str, int], sep: str = ",") -> str:
 
 
 # ---------------------------------------------------------------------------
-# The relation runner and the bespoke checkers
+# The relation runner and the derived sequences
 # ---------------------------------------------------------------------------
 
 def _eval(fid: str, params: Mapping[str, int] | None, engine: str, n_max: int) -> tuple[int, ...]:
@@ -111,8 +114,10 @@ def _run_relation(spec: IdentitySpec, cell: Params, n_max: int, engine: str) -> 
     """
     kind = spec.kind
     modulus = spec.modulus or cell.get("p")
-    for group in spec.sides(cell):
-        first, *others = [_eval(fid, fparams, engine, n_max) for fid, fparams in group]
+    for group in spec.sides(cell, engine):
+        first, *others = [source(params, engine, n_max) if callable(source)
+                          else _eval(source, params, engine, n_max)
+                          for source, params in group]
         if kind == "congruence":
             for n in range(cell["offset"], n_max + 1, modulus):
                 value = first[n]
@@ -131,55 +136,36 @@ def _run_relation(spec: IdentitySpec, cell: Params, n_max: int, engine: str) -> 
     return None
 
 
-def _check_i9(params: Params, n_max: int, engine: str) -> Counterexample | None:
-    d_e = families.enum_values("d_e", n_max)
-    for n in range(1, n_max + 1):
-        lhs = families.recurrence_d_e(n)
-        rhs = d_e[n]
-        if lhs != rhs:
-            return Counterexample(n, lhs, rhs)
-    return None
+# The recurrence and the divisor parity start at n = 1; they hold 0 at n = 0,
+# which I9 and I10 (n_lo = 1) skip.
+
+def _d_e_recurrence(params: Params | None, engine: str, n_max: int) -> tuple[int, ...]:
+    """d_e by the pentagonal recurrence with the gamma correction."""
+    return (0, *map(families.recurrence_d_e, range(1, n_max + 1)))
 
 
-def _check_i10(params: Params, n_max: int, engine: str) -> Counterexample | None:
-    d_o = _eval("d_o", None, engine, n_max)
-    for n in range(1, n_max + 1):
-        lhs = families.triangular_parity(d_o.__getitem__, n)
-        if n % 2 == 1:
-            rhs = 0
-        else:
-            rhs = numtheory.sigma0(n >> numtheory.v2(n)) % 2
-        if lhs != rhs:
-            return Counterexample(n, lhs, rhs)
-    return None
+def _d_o_triangular_parity(params: Params | None, engine: str, n_max: int) -> tuple[int, ...]:
+    """Triangular-shifted parity sum of d_o, read by the run's engine."""
+    d_o = _eval("d_o", None, engine, n_max).__getitem__
+    return tuple(families.triangular_parity(d_o, n) for n in range(n_max + 1))
 
 
-def _check_i14(params: Params, n_max: int, engine: str) -> Counterexample | None:
-    if engine == "series":
-        # Two independently built series: the parity-split sum over the
-        # tracked repeated part versus the folded alternating-sign form.
-        odd, even, signed = (families.series_for(fid, params, n_max).coeffs
-                             for fid in ("g_alpha_odd", "g_alpha_even", "g_alpha"))
-        for n in range(n_max + 1):
-            lhs = odd[n] - even[n]
-            if lhs != signed[n]:
-                return Counterexample(n, lhs, signed[n])
-        return None
-    # Enumeration engine: the unsigned pieces against their series.
-    for fid in ("g_alpha_odd", "g_alpha_even"):
-        series = families.series_for(fid, params, n_max).coeffs
-        values = families.enum_values(fid, n_max, params)
-        for n in range(0, n_max + 1):
-            lhs = values[n]
-            rhs = series[n]
-            if lhs != rhs:
-                return Counterexample(n, lhs, rhs)
-    return None
+def _divisor_parity(params: Params | None, engine: str, n_max: int) -> tuple[int, ...]:
+    """0 at odd n, else the parity of sigma0 of n's odd part."""
+    return (0, *(0 if n % 2 else numtheory.sigma0(n >> numtheory.v2(n)) % 2
+                 for n in range(1, n_max + 1)))
 
 
-_BESPOKE: dict[str, Callable[[Params, int, str], Counterexample | None]] = {
-    "I9": _check_i9, "I10": _check_i10, "I14": _check_i14,
-}
+def _heavy_parity_difference(params: Params, engine: str, n_max: int) -> tuple[int, ...]:
+    """g_alpha_odd - g_alpha_even, both by series; neither outlives the call."""
+    odd, even = (families.series_for(fid, params, n_max).coeffs
+                 for fid in ("g_alpha_odd", "g_alpha_even"))
+    return tuple(map(operator.sub, odd, even))
+
+
+def _by_series(fid: str) -> SequenceFn:
+    """A side that reads the family by series whatever the run's engine."""
+    return lambda params, engine, n_max: _eval(fid, params, "series", n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +180,9 @@ def _grid(*cells: Mapping[str, int]) -> tuple[tuple[tuple[str, int], ...], ...]:
 _EMPTY = _grid({})
 
 
-def _heavy_parity_pieces(swapped: bool) -> Callable[[Params], tuple[tuple[Side, ...], ...]]:
+def _heavy_parity_pieces(swapped: bool) -> Callable[[Params, str], tuple[tuple[Side, ...], ...]]:
     """Sides of the proposition on g_alpha_odd/even(p,p,p), as printed or swapped."""
-    def sides(cell: Params) -> tuple[tuple[Side, ...], ...]:
+    def sides(cell: Params, engine: str) -> tuple[tuple[Side, ...], ...]:
         p = cell["p"]
         g_cell = {"alpha": p, "k": p, "p": p}
         odd_i, even_i = (p, 0) if swapped else (0, p)
@@ -205,66 +191,77 @@ def _heavy_parity_pieces(swapped: bool) -> Callable[[Params], tuple[tuple[Side, 
     return sides
 
 
+def _heavy_part_sides(cell: Params, engine: str) -> tuple[tuple[Side, ...], ...]:
+    """I14 by series: the parity-split build (odd - even) against the folded
+    alternating form.  By enumeration: each unsigned piece against its series."""
+    if engine == "series":
+        return (((_heavy_parity_difference, cell), ("g_alpha", cell)),)
+    return tuple(((fid, cell), (_by_series(fid), cell)) for fid in ("g_alpha_odd", "g_alpha_even"))
+
+
 _REGISTRY: dict[str, IdentitySpec] = {spec.id: spec for spec in (
     IdentitySpec(
         "I1", "a(n) = c(n): even parts over distinct partitions vs the signed "
         "single-repeated-part count", "equality", _EMPTY, ("enum",), 40,
-        sides=lambda c: ((("a", None), ("c", None)),), n_lo=1),
+        sides=lambda c, e: ((("a", None), ("c", None)),), n_lo=1),
     IdentitySpec(
         "I2", "c(n) = (-1)^n b(n) as signed integers", "signed-equality", _EMPTY, ("enum",), 40,
-        sides=lambda c: ((("c", None), ("b", None)),), n_lo=1),
+        sides=lambda c, e: ((("c", None), ("b", None)),), n_lo=1),
     IdentitySpec(
         "I3", "2 divides a(n) - b_prime(n)", "divisibility", _EMPTY, ("enum",), 40,
-        sides=lambda c: ((("a", None), ("b_prime", None)),), n_lo=1, modulus=2),
+        sides=lambda c, e: ((("a", None), ("b_prime", None)),), n_lo=1, modulus=2),
     IdentitySpec(
         "I4", "a_r(n;p,r) = g_r(n;p,r) for the signed repeated-part count", "equality",
         _grid(*({"p": p, "r": r} for p in (2, 3, 4, 5) for r in range(p - 1))), ("enum",), 30,
-        sides=lambda c: ((("a_r", c), ("g_r", c)),), n_lo=1),
+        sides=lambda c, e: ((("a_r", c), ("g_r", c)),), n_lo=1),
     IdentitySpec(
         "I5", "p divides a_np(n;p) - o_p(n;p)", "divisibility",
         _grid(*({"p": p} for p in (2, 3, 5))), ("series", "enum"), 30,
-        sides=lambda c: ((("a_np", c), ("o_p", c)),)),
+        sides=lambda c, e: ((("a_np", c), ("o_p", c)),)),
     IdentitySpec(
         "I6", "a_np(p*m + offset; p) is divisible by p along the stated "
         "arithmetic progressions", "congruence",
         _grid({"p": 5, "offset": 4}, {"p": 7, "offset": 5}, {"p": 11, "offset": 6}),
         ("series", "enum"), 30,
-        sides=lambda c: ((("a_np", {"p": c["p"]}),),)),
+        sides=lambda c, e: ((("a_np", {"p": c["p"]}),),)),
     IdentitySpec(
         "I7", "o_p_odd = h(i=p) and o_p_even = h(i=0)", "equality",
         _grid(*({"p": p} for p in (2, 3, 4))), ("enum",), 30,
-        sides=lambda c: ((("o_p_odd", c), ("h", {"p": c["p"], "i": c["p"]})),
-                         (("o_p_even", c), ("h", {"p": c["p"], "i": 0})))),
+        sides=lambda c, e: ((("o_p_odd", c), ("h", {"p": c["p"], "i": c["p"]})),
+                            (("o_p_even", c), ("h", {"p": c["p"], "i": 0})))),
     IdentitySpec(
         "I8", "d_e = f0 and d_o = f2", "equality", _EMPTY, ("enum", "series"), 40,
-        sides=lambda c: ((("d_e", None), ("f0", None)), (("d_o", None), ("f2", None))), n_lo=1),
+        sides=lambda c, e: ((("d_e", None), ("f0", None)), (("d_o", None), ("f2", None))), n_lo=1),
     IdentitySpec(
         "I9", "pentagonal recurrence with the gamma correction reproduces d_e",
-        "recurrence", _EMPTY, ("enum",), 60),
+        "equality", _EMPTY, ("enum",), 60,
+        sides=lambda c, e: (((_d_e_recurrence, None), ("d_e", None)),), n_lo=1),
     IdentitySpec(
         "I10", "triangular parity sum of d_o matches the divisor-count parity",
-        "parity", _EMPTY, ("enum", "series"), 60),
+        "equality", _EMPTY, ("enum", "series"), 60,
+        sides=lambda c, e: (((_d_o_triangular_parity, None), (_divisor_parity, None)),), n_lo=1),
     IdentitySpec(
         "I11", "f_pkr = d_pkr", "equality",
         _grid(*({"p": p, "k": k, "r": r} for p in (2, 3) for k in (2, 3, 4) for r in range(p))),
         ("enum", "series"), 30,
-        sides=lambda c: ((("f_pkr", c), ("d_pkr", c)),), n_lo=1),
+        sides=lambda c, e: ((("f_pkr", c), ("d_pkr", c)),), n_lo=1),
     IdentitySpec(
         "I12", "o_p(.;k) = d_k and, at k=4, d_k = d_e", "equality",
         _grid(*({"k": k} for k in (2, 3, 4, 5))), ("enum",), 40,
-        sides=lambda c: ((("o_p", {"p": c["k"]}), ("d_k", c),
-                          *((("d_e", None),) if c["k"] == 4 else ())),)),
+        sides=lambda c, e: ((("o_p", {"p": c["k"]}), ("d_k", c),
+                             *((("d_e", None),) if c["k"] == 4 else ())),)),
     IdentitySpec(
         "I13", "d_k with k = p*k' equals d_pkr with r = 0", "equality",
         _grid({"p": 2, "k": 2}, {"p": 2, "k": 3}, {"p": 3, "k": 2}, {"p": 3, "k": 4}),
         ("enum",), 30,
-        sides=lambda c: ((("d_k", {"k": c["p"] * c["k"]}), ("d_pkr", {**c, "r": 0})),)),
+        sides=lambda c, e: ((("d_k", {"k": c["p"] * c["k"]}), ("d_pkr", {**c, "r": 0})),)),
     IdentitySpec(
         "I14", "signed heavy-part generating function: parity-split build equals "
         "the folded alternating form; unsigned pieces match enumeration",
-        "series-equality",
+        "equality",
         _grid(*({"p": p, "k": k, "alpha": a} for p in (2, 3) for k in range(2, p + 1) for a in (k, k + 1))),
-        ("series", "enum"), 30),
+        ("series", "enum"), 30,
+        sides=_heavy_part_sides),
     IdentitySpec(
         "I15", "as printed: g_alpha_odd(p,p,p) = h(i=0) and g_alpha_even = h(i=p)",
         "equality", _grid({"p": 2}, {"p": 3}), ("enum",), 30,
@@ -277,7 +274,7 @@ _REGISTRY: dict[str, IdentitySpec] = {spec.id: spec for spec in (
         "I16", "multiplicity bound t-1 and no-part-divisible-by-t classes are "
         "equinumerous", "equality",
         _grid(*({"t": t} for t in (2, 3, 4, 5))), ("enum",), 40,
-        sides=lambda c: ((("glaisher_left", c), ("glaisher_right", c)),)),
+        sides=lambda c, e: ((("glaisher_left", c), ("glaisher_right", c)),)),
 )}
 
 I15_PAIR = ("I15", "I15-swapped")
@@ -311,12 +308,11 @@ def _resolve_n_max(spec: IdentitySpec, engine: str, n_max: int | None) -> int:
     return qseries.DEFAULT_ORDER if engine == "series" else spec.enum_n_max
 
 
-def _match_cell(spec: IdentitySpec, params: Mapping[str, int] | None) -> list[Params]:
+def _match_cell(spec: IdentitySpec, params: Mapping[str, int] | None,
+                strict: bool = True) -> list[Params]:
     cells = spec.cells()
-    if not params:
-        return list(cells)
-    matched = [cell for cell in cells if all(cell.get(k) == v for k, v in params.items())]
-    if not matched:
+    matched = [cell for cell in cells if all(cell.get(k) == v for k, v in (params or {}).items())]
+    if strict and not matched:
         raise DomainError(
             f"{spec.id} has no grid cell matching {dict(params)!r}; "
             f"valid cells: {[format_params(c) or '-' for c in cells]}"
@@ -353,11 +349,12 @@ def verify(identity_id: str, params: Mapping[str, int] | None = None,
     used_n_max = 0
     for eng in engines:
         resolved = _resolve_n_max(spec, eng, n_max)
+        if eng == "enum":
+            # Every enum run reads a family to n_max; check the cap before a
+            # derived sequence (I9's recurrence) does work for nothing.
+            enumeration._check_request(resolved, None)
         used_n_max = max(used_n_max, resolved)
-        if spec.sides is None:
-            counterexample = _BESPOKE[identity_id](cell, resolved, eng)
-        else:
-            counterexample = _run_relation(spec, cell, resolved, eng)
+        counterexample = _run_relation(spec, cell, resolved, eng)
         if counterexample is not None:
             break
     ms = int(round((time.perf_counter() - start) * 1000))
@@ -386,9 +383,10 @@ def verify_cells(ids: Iterable[str] | None = None,
 
     Requesting either orientation of the adjudicated pair pulls in the other
     so the exactly-one-holds rule can be applied.  Output order is by
-    (identity, parameters) regardless of completion order.  ``jobs`` (>= 1)
-    caps the worker processes, which are also capped by the CPU count and
-    the number of cells.
+    (identity, parameters) regardless of completion order.  A sweep of every
+    identity (``ids`` None) fails only when no identity has a matching cell.
+    ``jobs`` (>= 1) caps the worker processes, which are also capped by the
+    CPU count and the number of cells.
     """
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
@@ -404,13 +402,15 @@ def verify_cells(ids: Iterable[str] | None = None,
     tasks = []
     for identity_id in wanted:
         spec = get_identity(identity_id)
-        if (sweep_all and engine is not None and engine != "both"
-                and engine not in spec.engines):
-            # A blanket engine request skips identities that cannot run it;
-            # explicitly requested ids still error.
+        # A blanket request skips identities that cannot run the engine or
+        # have no matching cell; explicitly requested ids still error.
+        if sweep_all and engine not in (None, "both", *spec.engines):
             continue
-        for cell in _match_cell(spec, params):
+        for cell in _match_cell(spec, params, strict=not sweep_all):
             tasks.append((identity_id, tuple(sorted(cell.items())), n_max, engine))
+    if not tasks and sweep_all:
+        runs = f" that runs engine {engine!r}" if engine not in (None, "both") else ""
+        raise DomainError(f"no identity{runs} has a grid cell matching {dict(params or {})!r}")
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -54,17 +54,6 @@ class Partition:
         self.weight = weight
         return self
 
-    def multiplicity(self, part: int) -> int:
-        """Multiplicity of ``part`` in the multiset, 0 if absent."""
-        if not isinstance(part, int) or isinstance(part, bool) or part < 1:
-            raise InvalidPartitionError(f"part must be a positive integer, got {part!r}")
-        for p, m in self.pairs:
-            if p == part:
-                return m
-            if p < part:
-                break
-        return 0
-
     def union(self, other: "Partition") -> "Partition":
         """Multiset union: multiplicities add, weight adds."""
         merged = dict(self.pairs)

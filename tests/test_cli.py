@@ -241,6 +241,32 @@ def test_table_exit_codes(capsys):
     assert code == 3  # enumeration cap
 
 
+def test_verify_all_with_params_skips_identities_without_a_matching_cell(capsys):
+    code, out, _ = run(capsys, "verify", "all", "--p", "3", "--n-max", "12", "--format", "json")
+    assert code == 0
+    reports = json.loads(out)
+    assert {r["id"] for r in reports} >= {"I4", "I5", "I7", "I11", "I13", "I14", "I15"}
+    assert all(r["params"]["p"] == 3 for r in reports)
+    code, _, err = run(capsys, "verify", "all", "--p", "99")
+    assert code == 2
+    assert "no identity" in err
+    # I16 has t = 3 but runs only by enumeration
+    code, _, err = run(capsys, "verify", "all", "--t", "3", "--engine", "series")
+    assert code == 2
+    assert "no identity that runs engine 'series'" in err
+    # an explicitly named identity still needs a matching cell
+    code, _, err = run(capsys, "verify", "I1", "--p", "3")
+    assert code == 2
+    assert "I1 has no grid cell" in err
+
+
+def test_table_series_engine_rejects_max_n(capsys):
+    code, out, err = run(capsys, "table", "d_e", "0..3", "--engine", "series", "--max-n", "2")
+    assert code == 2
+    assert out == ""
+    assert "--max-n" in err
+
+
 def test_env_cap_and_flag_precedence(capsys, monkeypatch):
     monkeypatch.setenv(CAP_ENV_VAR, "10")
     code, _, _ = run(capsys, "table", "s", "11", "11")

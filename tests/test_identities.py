@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from partlab import enumeration, identities
+from partlab import enumeration, families, identities, qseries
 from partlab.errors import DomainError, ResourceLimitError, UnknownIdentityError
 from partlab.identities import (
     Counterexample,
@@ -28,8 +28,9 @@ def test_registry_complete_and_unique():
     assert "I15-swapped" in ids
     assert len(ids) == len(set(ids))
     assert len(list_identities()) == len(ids)
-    # every claim but these three is registry data run by one runner
-    assert {s.id for s in list_identities() if s.sides is None} == {"I9", "I10", "I14"}
+    # every claim is registry data run by one runner
+    relations = {"equality", "signed-equality", "divisibility", "congruence"}
+    assert all(callable(s.sides) and s.kind in relations for s in list_identities())
 
 
 def test_smoke_all_default_grids():
@@ -186,10 +187,11 @@ def test_format_params_order_is_stable():
 
 def _relation(kind, sides, n_lo=0, modulus=None):
     return IdentitySpec("X", "deliberately false", kind, ((),), ("enum",), 30,
-                        sides=lambda cell: sides, n_lo=n_lo, modulus=modulus)
+                        sides=lambda cell, engine: sides, n_lo=n_lo, modulus=modulus)
 
 
 S, A, D_E = ("s", None), ("a", None), ("d_e", None)  # s: 1,1,2,3,5 a: 0,0,1,1,1 d_e: 0,0,0,0,1
+N = (lambda params, engine, n_max: range(n_max + 1), None)  # a derived side: 0,1,2,3,4
 
 
 @pytest.mark.parametrize("spec, cell, expected", [
@@ -204,6 +206,8 @@ S, A, D_E = ("s", None), ("a", None), ("d_e", None)  # s: 1,1,2,3,5 a: 0,0,1,1,1
     (_relation("divisibility", ((S, D_E),), n_lo=4), {"p": 3}, (4, 5, 1)),
     # congruence along offset + p*m: (index, value, 0)
     (_relation("congruence", ((S,),)), {"p": 5, "offset": 3}, (3, 3, 0)),
+    # a derived side is a sequence function of (params, engine, n_max)
+    (_relation("equality", ((N, S),), n_lo=1), {}, (4, 4, 5)),
 ])
 def test_relation_counterexample_convention(spec, cell, expected):
     assert identities._run_relation(spec, cell, 30, "enum") == Counterexample(*expected)
@@ -229,9 +233,71 @@ def test_enum_engine_past_the_cap_fails_before_walking(identity_id, params, monk
         verify(identity_id, params, n_max=81, engine="enum")
 
 
+def test_i9_past_the_cap_fails_before_the_recurrence(monkeypatch):
+    def no_recurrence(n):
+        raise AssertionError("ran the recurrence past the cap")
+
+    monkeypatch.delenv(enumeration.CAP_ENV_VAR, raising=False)
+    monkeypatch.setattr(families, "recurrence_d_e", no_recurrence)
+    with pytest.raises(ResourceLimitError, match="n=100000 exceeds the cap 80"):
+        verify("I9", None, n_max=100_000, engine="enum")
+
+
 def test_i14_enum_engine_past_the_default_order(monkeypatch):
     # The series side is built to n_max, not only to qseries.DEFAULT_ORDER.
     monkeypatch.setenv(enumeration.CAP_ENV_VAR, "210")
     report = verify("I14", {"p": 2, "k": 2, "alpha": 2}, n_max=210, engine="enum")
     assert report.holds
     assert report.n_max == 210
+
+
+# Fault injection: a perturbed derived sequence or closed form must surface
+# as a counterexample in each claim's (n, lhs, rhs) convention.
+G_CELL = {"p": 2, "k": 2, "alpha": 2}  # g_alpha_odd: 0,0,1,1,2,3,5,7  even: 0,0,0,0,1,1,1,2
+
+
+def test_i9_counterexample_is_recurrence_against_d_e(monkeypatch):
+    original = families.recurrence_d_e
+    monkeypatch.setattr(families, "recurrence_d_e", lambda n: original(n) + (n == 6))
+    assert verify("I9", None, 30, "enum").counterexample == Counterexample(6, 3, 2)
+
+
+@pytest.mark.parametrize("engine", ["enum", "series"])
+def test_i10_counterexample_is_parity_sum_against_divisor_parity(engine, monkeypatch):
+    original = families.triangular_parity
+    monkeypatch.setattr(families, "triangular_parity",
+                        lambda values, n: original(values, n) ^ (n in (6, 8)))
+    # parity sum of d_o at 6 is 0, sigma0(3) = 2 is even
+    assert verify("I10", None, 30, engine).counterexample == Counterexample(6, 1, 0)
+
+
+def _bump_closed_form(monkeypatch, family, at):
+    """Add q^at to the family's Lambert-type sum: the series gains 1 at n = at."""
+    original = qseries.CLOSED_FORMS[family]
+
+    def bumped(order, **params):
+        numerator, total = original(order, **params)
+        coeffs = list(total.coeffs)
+        if at <= order:
+            coeffs[at] += 1
+        return numerator, qseries.Series(coeffs)
+
+    monkeypatch.setitem(qseries.CLOSED_FORMS, family, bumped)
+
+
+@pytest.mark.parametrize("family, engine, expected", [
+    # by series: odd - even against the signed series
+    ("g_alpha", "series", (5, 2, 3)),
+    ("g_alpha_even", "series", (5, 1, 2)),
+    # by enumeration: each unsigned piece against its series
+    ("g_alpha_even", "enum", (7, 2, 3)),
+])
+def test_i14_counterexample_convention(family, engine, expected, monkeypatch):
+    _bump_closed_form(monkeypatch, family, 5 if engine == "series" else 7)
+    assert verify("I14", G_CELL, 30, engine).counterexample == Counterexample(*expected)
+
+
+def test_i14_enum_engine_does_not_read_the_signed_series(monkeypatch):
+    _bump_closed_form(monkeypatch, "g_alpha", 5)
+    assert verify("I14", G_CELL, 30, "enum").holds
+    assert not verify("I14", G_CELL, 30, "series").holds

@@ -57,17 +57,6 @@ def test_union_identity_element():
     assert x.union(Partition()) == x
 
 
-def test_multiplicity_lookup():
-    p = Partition([(7, 30)])
-    assert p.multiplicity(7) == 30
-    assert p.multiplicity(5) == 0
-    assert Partition().multiplicity(1) == 0
-    with pytest.raises(InvalidPartitionError):
-        p.multiplicity(0)
-    with pytest.raises(InvalidPartitionError):
-        parse_partition("3,1^2").multiplicity(True)
-
-
 @given(pair_lists)
 def test_canonicalization_idempotent(pairs):
     once = Partition(pairs)
