@@ -1,16 +1,22 @@
 """Constructive weight-preserving bijections between partition classes.
 
+Every map is written once, as a core: a function of its cell values and a
+partition that returns the image, built by one ``Partition(...)`` call, and
+records a ``TraceStep`` for each intermediate partition only when its caller
+passes a ``steps`` list.  The public maps (``genr_f_to_d``, ``dpk_to_dp``,
+...) check that their input lies in the domain class, run the core with a
+steps list, check that the image lies in the codomain class and return a
+``BijectionTrace``.  The splitting maps ``glaisher`` and ``glaisher_inv``
+return bare partitions and check their input inline; the other cores call
+them.
+
 ``BIJECTIONS`` declares every map once, keyed by the name that
 ``partlab map`` and the exhaustive sweep use (glaisher, genr, dpk, var0).
 An entry holds the parameter names of its cell, the (domain, codomain)
-class pair of a cell, and the forward and inverse directions as functions
-of (cell, partition) that return a ``BijectionTrace``.  The splitting maps
-return bare partitions and check their input inline, so their entries wrap
-the image in a trace with no steps; the other maps record each
-intermediate partition and check that their input lies in the domain class
-and their output in the codomain class.  ``exhaustive_cell_check`` sweeps
-one (map, cell, weight) through its entry: it enumerates only the domain
-class and checks the codomain by its membership predicate and its count.
+class pair of a cell, both traced directions for ``partlab map`` and both
+untraced cores for the sweep.  ``exhaustive_cell_check`` sweeps one (map,
+cell, weight) through the cores: it enumerates only the domain class and
+checks the codomain by its membership predicate and its count.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from typing import Callable
 
 from . import families
 from .errors import DomainError, PartlabError
-from .partition import Partition, format_partition
+from .partition import Pair, Partition, format_partition
 
 
 class LemmaViolation(PartlabError, RuntimeError):
@@ -40,9 +46,17 @@ class BijectionTrace:
     steps: tuple[TraceStep, ...]
 
 
+Steps = list[TraceStep] | None
+
+
 def _trace(input_partition: Partition, output: Partition, steps: list[TraceStep]) -> BijectionTrace:
     full = [TraceStep("input", input_partition), *steps, TraceStep("output", output)]
     return BijectionTrace(input_partition, output, tuple(full))
+
+
+def _canonical(pairs: list[Pair]) -> Partition:
+    """Wrap pairs that are already canonical (distinct parts, decreasing)."""
+    return Partition._raw(tuple(pairs), sum(part * mult for part, mult in pairs))
 
 
 def _strip_power(x: int, t: int) -> tuple[int, int]:
@@ -90,6 +104,128 @@ def glaisher_inv(t: int, partition: Partition) -> Partition:
     return Partition._raw(tuple(sorted(out.items(), reverse=True)), partition.weight)
 
 
+# ---------------------------------------------------------------------------
+# Cores: partition -> image, with trace steps only on request
+# ---------------------------------------------------------------------------
+
+
+def _genr_f_to_d_core(k: int, partition: Partition, steps: Steps = None) -> Partition:
+    """Parts divisible by k become (part/k)^(k*mult); the remaining parts
+    pass through the inverse splitting map jointly."""
+    scaled: list[Pair] = []
+    rest: list[Pair] = []
+    for part, mult in partition.pairs:
+        if part % k:
+            rest.append((part, mult))
+        else:
+            scaled.append((part // k, k * mult))
+    split = glaisher_inv(k, _canonical(rest))
+    if steps is not None:
+        if scaled:
+            steps.append(TraceStep("divide parts divisible by "
+                                   f"{k} and multiply their multiplicities by {k}", _canonical(scaled)))
+        if rest:
+            steps.append(TraceStep(f"apply inverse splitting (base {k}) to the rest", split))
+    return Partition([*scaled, *split.pairs])
+
+
+def _genr_d_to_f_core(k: int, partition: Partition, steps: Steps = None) -> Partition:
+    """A part x with multiplicity s becomes (k*x)^(s // k) together with the
+    split image of x^(s mod k)."""
+    scaled: list[Pair] = []
+    rest: list[Pair] = []
+    for part, mult in partition.pairs:
+        q, rem = divmod(mult, k)
+        if q:
+            scaled.append((k * part, q))
+        if rem:
+            rest.append((part, rem))
+    merged = glaisher(k, _canonical(rest))
+    if steps is not None:
+        if scaled:
+            steps.append(TraceStep(f"multiply parts by {k}, dividing their multiplicities",
+                                   _canonical(scaled)))
+        if rest:
+            steps.append(TraceStep(f"apply the splitting map (base {k}) to leftover multiplicities",
+                                   merged))
+    return Partition([*scaled, *merged.pairs])
+
+
+def _dpk_to_dp_core(p: int, k: int, partition: Partition, steps: Steps = None) -> Partition:
+    """See ``dpk_to_dp``; requires exactly one part repeated at least p*k
+    times (or the empty partition)."""
+    if not partition.pairs:
+        return partition
+    pk = p * k
+    j, m = next((part, mult) for part, mult in partition.pairs if mult >= pk)
+    q, i = divmod(m, pk)
+    converted = (p * j, k * q)
+    rest = [(part, i if part == j else mult) for part, mult in partition.pairs if part != j or i]
+    image = glaisher(pk, _canonical(rest))
+    keep: list[Pair] = []
+    divided: list[Pair] = []
+    for part, mult in image.pairs:
+        if part % p:
+            keep.append((part, mult))
+            continue
+        y = part // p
+        if y % k == 0:
+            raise LemmaViolation(
+                f"part {part} divided by {p} is divisible by {k}; "
+                "input was outside the domain or the pipeline is broken"
+            )
+        divided.append((y, mult))
+    beta = [(p * part, mult) for part, mult in glaisher_inv(k, _canonical(divided)).pairs]
+    if steps is not None:
+        steps += [
+            TraceStep(f"split {j}^{m} = {j}^{pk * q} + {j}^{i}", _canonical([(j, pk * q)])),
+            TraceStep(f"convert {j}^{pk * q} into {p * j}^{k * q}", _canonical([converted])),
+            TraceStep(f"apply the splitting map (base {pk}) to the rest", image),
+            TraceStep(f"parts of the image not divisible by {p}", _canonical(keep)),
+            TraceStep(f"divide the rest by {p}, apply inverse splitting "
+                      f"(base {k}), multiply back by {p}", _canonical(beta)),
+        ]
+    return Partition([converted, *beta, *keep])
+
+
+def _dp_to_dpk_core(p: int, k: int, partition: Partition, steps: Steps = None) -> Partition:
+    """See ``dp_to_dpk``; requires exactly one multiple of p repeated at
+    least k times (or the empty partition)."""
+    if not partition.pairs:
+        return partition
+    pk = p * k
+    s, m = next((part, mult) for part, mult in partition.pairs if part % p == 0 and mult >= k)
+    t, f = divmod(m, k)
+    converted = (s // p, pk * t)
+    light: list[Pair] = []
+    plain: list[Pair] = []
+    for part, mult in partition.pairs:
+        if part % p:
+            plain.append((part, mult))
+        elif part != s:
+            light.append((part // p, mult))
+        elif f:
+            light.append((part // p, f))
+    mu_prime = [(p * part, mult) for part, mult in glaisher(k, _canonical(light)).pairs]
+    # Parts in plain are not multiples of p and parts in mu_prime are, so
+    # the two never share a part.
+    mu_second = glaisher_inv(pk, _canonical(sorted(plain + mu_prime, reverse=True)))
+    if steps is not None:
+        steps += [
+            TraceStep(f"split {s}^{m} = {s}^{k * t} + {s}^{f}", _canonical([(s, k * t)])),
+            TraceStep(f"convert {s}^{k * t} into {s // p}^{pk * t}", _canonical([converted])),
+            TraceStep(f"divide light multiples of {p} by {p}, apply the "
+                      f"splitting map (base {k}), multiply back by {p}", _canonical(mu_prime)),
+            TraceStep(f"apply inverse splitting (base {pk}) to the rest", mu_second),
+        ]
+    return Partition([converted, *mu_second.pairs])
+
+
+# ---------------------------------------------------------------------------
+# Public traced maps
+# ---------------------------------------------------------------------------
+
+
 def _require_member(family: str, params, partition: Partition) -> None:
     # Building the predicate validates params, so the empty partition
     # cannot slip past a bad cell.
@@ -101,61 +237,30 @@ def _require_member(family: str, params, partition: Partition) -> None:
         )
 
 
+def _traced(domain: ClassRef, codomain: ClassRef, partition: Partition,
+            core: Callable[..., Partition], *args: int) -> BijectionTrace:
+    """Check the input against the domain class, run the core with a steps
+    list, and check its image against the codomain class."""
+    _require_member(*domain, partition)
+    steps: list[TraceStep] = []
+    output = core(*args, partition, steps)
+    _require_member(*codomain, output)
+    return _trace(partition, output, steps)
+
+
 def genr_f_to_d(p: int, k: int, r: int, partition: Partition) -> BijectionTrace:
     """Map a singleton-residue-class partition (f side) to a heavy-part
     partition (d side): parts divisible by k become (part/k)^(k*mult); the
     remaining parts pass through the inverse splitting map jointly."""
-    params = {"p": p, "k": k, "r": r}
-    _require_member("f_pkr", params, partition)
-    steps: list[TraceStep] = []
-    scaled: dict[int, int] = {}
-    residual: dict[int, int] = {}
-    for part, mult in partition.pairs:
-        if part % k == 0:
-            key = part // k
-            scaled[key] = scaled.get(key, 0) + k * mult
-        else:
-            residual[part] = residual.get(part, 0) + mult
-    scaled_p = Partition(scaled.items())
-    residual_p = Partition(residual.items())
-    if not scaled_p.is_empty():
-        steps.append(TraceStep("divide parts divisible by "
-                               f"{k} and multiply their multiplicities by {k}", scaled_p))
-    if not residual_p.is_empty():
-        split = glaisher_inv(k, residual_p)
-        steps.append(TraceStep(f"apply inverse splitting (base {k}) to the rest", split))
-        residual_p = split
-    output = scaled_p.union(residual_p)
-    _require_member("d_pkr", params, output)
-    return _trace(partition, output, steps)
+    f_side, d_side = BIJECTIONS["genr"].classes({"p": p, "k": k, "r": r})
+    return _traced(f_side, d_side, partition, _genr_f_to_d_core, k)
 
 
 def genr_d_to_f(p: int, k: int, r: int, partition: Partition) -> BijectionTrace:
     """Inverse of genr_f_to_d: a part x with multiplicity s becomes
     (k*x)^(s // k) together with the split image of x^(s mod k)."""
-    params = {"p": p, "k": k, "r": r}
-    _require_member("d_pkr", params, partition)
-    steps: list[TraceStep] = []
-    scaled: dict[int, int] = {}
-    residual: dict[int, int] = {}
-    for part, mult in partition.pairs:
-        q, rem = divmod(mult, k)
-        if q:
-            key = k * part
-            scaled[key] = scaled.get(key, 0) + q
-        if rem:
-            residual[part] = residual.get(part, 0) + rem
-    scaled_p = Partition(scaled.items())
-    residual_p = Partition(residual.items())
-    if not scaled_p.is_empty():
-        steps.append(TraceStep(f"multiply parts by {k}, dividing their multiplicities", scaled_p))
-    if not residual_p.is_empty():
-        merged = glaisher(k, residual_p)
-        steps.append(TraceStep(f"apply the splitting map (base {k}) to leftover multiplicities", merged))
-        residual_p = merged
-    output = scaled_p.union(residual_p)
-    _require_member("f_pkr", params, output)
-    return _trace(partition, output, steps)
+    f_side, d_side = BIJECTIONS["genr"].classes({"p": p, "k": k, "r": r})
+    return _traced(d_side, f_side, partition, _genr_d_to_f_core, k)
 
 
 def _var0_sides(r: int) -> tuple[str, str]:
@@ -177,6 +282,14 @@ def var0_map(direction: str, r: int, partition: Partition) -> BijectionTrace:
     raise DomainError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
+def _dpk_classes(p: int, k: int) -> tuple[ClassRef, ClassRef]:
+    """The cell's (heavy, single) classes; p and k are checked here because
+    d_k(p*k) accepts p = 1 or k = 1."""
+    if p < 2 or k < 2:
+        raise DomainError(f"need p >= 2 and k >= 2, got p={p}, k={k}")
+    return BIJECTIONS["dpk"].classes({"p": p, "k": k})
+
+
 def dpk_to_dp(p: int, k: int, partition: Partition) -> BijectionTrace:
     """Map a partition with one part repeated at least p*k times to one with
     a single heavy part divisible by p.
@@ -187,82 +300,16 @@ def dpk_to_dp(p: int, k: int, partition: Partition) -> BijectionTrace:
     results are never divisible by k), apply the inverse splitting map in
     base k, scale back by p, and take the union.
     """
-    if p < 2 or k < 2:
-        raise DomainError(f"need p >= 2 and k >= 2, got p={p}, k={k}")
-    pk = p * k
-    _require_member("d_k", {"k": pk}, partition)
-    if partition.is_empty():
-        return _trace(partition, partition, [])
-    j, m = next((part, mult) for part, mult in partition.pairs if mult >= pk)
-    q, i = divmod(m, pk)
-    steps: list[TraceStep] = [
-        TraceStep(f"split {j}^{m} = {j}^{pk * q} + {j}^{i}", Partition(((j, pk * q),))),
-    ]
-    converted = Partition(((p * j, k * q),))
-    steps.append(TraceStep(f"convert {j}^{pk * q} into {p * j}^{k * q}", converted))
-    rest = Partition([(part, mult) for part, mult in partition.pairs if part != j] + ([(j, i)] if i else []))
-    image = glaisher(pk, rest)
-    steps.append(TraceStep(f"apply the splitting map (base {pk}) to the rest", image))
-    keep = {part: mult for part, mult in image.pairs if part % p != 0}
-    divisible = {part: mult for part, mult in image.pairs if part % p == 0}
-    steps.append(TraceStep("parts of the image not divisible by "
-                           f"{p}", Partition(keep.items())))
-    divided: dict[int, int] = {}
-    for part, mult in divisible.items():
-        y = part // p
-        if y % k == 0:
-            raise LemmaViolation(
-                f"part {part} divided by {p} is divisible by {k}; "
-                "input was outside the domain or the pipeline is broken"
-            )
-        divided[y] = divided.get(y, 0) + mult
-    beta = Partition(
-        ((p * part, mult) for part, mult in glaisher_inv(k, Partition(divided.items())).pairs)
-    )
-    steps.append(TraceStep(f"divide the rest by {p}, apply inverse splitting "
-                           f"(base {k}), multiply back by {p}", beta))
-    output = converted.union(beta).union(Partition(keep.items()))
-    _require_member("d_pkr", {"p": p, "k": k, "r": 0}, output)
-    return _trace(partition, output, steps)
+    heavy, single = _dpk_classes(p, k)
+    return _traced(heavy, single, partition, _dpk_to_dp_core, p, k)
 
 
 def dp_to_dpk(p: int, k: int, partition: Partition) -> BijectionTrace:
     """Inverse of dpk_to_dp: unconvert the heavy multiple of p, merge the
     light multiples of p through the splitting map in base k, then apply the
     inverse splitting map in base p*k to everything else."""
-    if p < 2 or k < 2:
-        raise DomainError(f"need p >= 2 and k >= 2, got p={p}, k={k}")
-    pk = p * k
-    _require_member("d_pkr", {"p": p, "k": k, "r": 0}, partition)
-    if partition.is_empty():
-        return _trace(partition, partition, [])
-    s, m = next((part, mult) for part, mult in partition.pairs if part % p == 0 and mult >= k)
-    t, f = divmod(m, k)
-    steps: list[TraceStep] = [
-        TraceStep(f"split {s}^{m} = {s}^{k * t} + {s}^{f}", Partition(((s, k * t),))),
-    ]
-    converted = Partition(((s // p, pk * t),))
-    steps.append(TraceStep(f"convert {s}^{k * t} into {s // p}^{pk * t}", converted))
-    light: dict[int, int] = {}
-    plain: dict[int, int] = {}
-    for part, mult in partition.pairs:
-        if part == s:
-            if f:
-                light[part // p] = light.get(part // p, 0) + f
-        elif part % p == 0:
-            light[part // p] = light.get(part // p, 0) + mult
-        else:
-            plain[part] = plain.get(part, 0) + mult
-    merged = glaisher(k, Partition(light.items()))
-    mu_prime = Partition(((p * part, mult) for part, mult in merged.pairs))
-    steps.append(TraceStep(f"divide light multiples of {p} by {p}, apply the "
-                           f"splitting map (base {k}), multiply back by {p}", mu_prime))
-    pooled = Partition(plain.items()).union(mu_prime)
-    mu_second = glaisher_inv(pk, pooled)
-    steps.append(TraceStep(f"apply inverse splitting (base {pk}) to the rest", mu_second))
-    output = converted.union(mu_second)
-    _require_member("d_k", {"k": pk}, output)
-    return _trace(partition, output, steps)
+    heavy, single = _dpk_classes(p, k)
+    return _traced(single, heavy, partition, _dp_to_dpk_core, p, k)
 
 
 # ---------------------------------------------------------------------------
@@ -276,33 +323,44 @@ ClassRef = tuple[str, Cell]
 @dataclass(frozen=True)
 class Bijection:
     """One map: its cell's parameter names, a cell's (domain, codomain)
-    classes, and both directions as functions of (cell, partition)."""
+    classes, both directions traced as functions of (cell, partition), and
+    both as untraced cores of (cell, partition) that return the image."""
 
     params: tuple[str, ...]
     classes: Callable[[Cell], tuple[ClassRef, ClassRef]]
     forward: Callable[[Cell, Partition], BijectionTrace]
     inverse: Callable[[Cell, Partition], BijectionTrace]
+    forward_core: Callable[[Cell, Partition], Partition]
+    inverse_core: Callable[[Cell, Partition], Partition]
 
 
-# The entries look the maps up as module globals on every call, so a
-# replaced module attribute (a test's fault, a tracer's wrapper) is seen.
+# The entries look the maps and cores up as module globals on every call,
+# so a replaced module attribute (a test's fault, a tracer's wrapper) is seen.
 BIJECTIONS: dict[str, Bijection] = {
     "glaisher": Bijection(
         ("t",), lambda c: (("glaisher_left", c), ("glaisher_right", c)),
         lambda c, x: BijectionTrace(x, glaisher(c["t"], x), ()),
-        lambda c, y: BijectionTrace(y, glaisher_inv(c["t"], y), ())),
+        lambda c, y: BijectionTrace(y, glaisher_inv(c["t"], y), ()),
+        lambda c, x: glaisher(c["t"], x),
+        lambda c, y: glaisher_inv(c["t"], y)),
     "genr": Bijection(
         ("p", "k", "r"), lambda c: (("f_pkr", c), ("d_pkr", c)),
         lambda c, x: genr_f_to_d(c["p"], c["k"], c["r"], x),
-        lambda c, y: genr_d_to_f(c["p"], c["k"], c["r"], y)),
+        lambda c, y: genr_d_to_f(c["p"], c["k"], c["r"], y),
+        lambda c, x: _genr_f_to_d_core(c["k"], x),
+        lambda c, y: _genr_d_to_f_core(c["k"], y)),
     "dpk": Bijection(
         ("p", "k"), lambda c: (("d_k", {"k": c["p"] * c["k"]}), ("d_pkr", {**c, "r": 0})),
         lambda c, x: dpk_to_dp(c["p"], c["k"], x),
-        lambda c, y: dp_to_dpk(c["p"], c["k"], y)),
+        lambda c, y: dp_to_dpk(c["p"], c["k"], y),
+        lambda c, x: _dpk_to_dp_core(c["p"], c["k"], x),
+        lambda c, y: _dp_to_dpk_core(c["p"], c["k"], y)),
     "var0": Bijection(
         ("r",), lambda c: tuple((side, {}) for side in _var0_sides(c["r"])),
         lambda c, x: var0_map("forward", c["r"], x),
-        lambda c, y: var0_map("inverse", c["r"], y)),
+        lambda c, y: var0_map("inverse", c["r"], y),
+        lambda c, x: _genr_f_to_d_core(2, x),
+        lambda c, y: _genr_d_to_f_core(2, y)),
 }
 
 
@@ -327,12 +385,13 @@ def exhaustive_cell_check(name: str, params: Cell, n: int) -> list[str]:
     weight n, with one pass over the domain class D.  Returns failure
     descriptions (empty list means the cell passed).
 
-    The codomain class C is never enumerated.  Each image's weight is
-    computed from its pairs (a map may declare a weight it does not have),
-    the image must satisfy C's membership predicate, and no image may repeat.
-    Then ``forward`` maps D_n injectively into C_n, and |image| = |C_n|, read
-    off C's counting table, makes it onto.  ``inverse(forward(x)) = x`` on
-    every x makes ``inverse`` its inverse on C_n.
+    The codomain class C is never enumerated, and the maps run as untraced
+    cores that check no class themselves.  Each image's weight is computed
+    from its pairs (a map may declare a weight it does not have), the image
+    must satisfy C's membership predicate, and no image may repeat.  Then
+    ``forward`` maps D_n injectively into C_n, and |image| = |C_n|, read off
+    C's counting table, makes it onto.  ``inverse(forward(x)) = x`` on every
+    x makes ``inverse`` its inverse on C_n.
     """
     entry = get_bijection(name, params)
     (domain_family, domain_params), (codomain_family, codomain_params) = entry.classes(params)
@@ -342,7 +401,7 @@ def exhaustive_cell_check(name: str, params: Cell, n: int) -> list[str]:
     failures: list[str] = []
     seen: set[Partition] = set()
     for source in families.enumerate_class(domain_family, n, domain_params):
-        image = entry.forward(params, source).output
+        image = entry.forward_core(params, source)
         if sum([p * m for p, m in image.pairs]) != n:
             failures.append(f"weight changed: {source} -> {image}")
             continue
@@ -353,7 +412,7 @@ def exhaustive_cell_check(name: str, params: Cell, n: int) -> list[str]:
             failures.append(f"not injective at {source} -> {image}")
             continue
         seen.add(image)
-        back = entry.inverse(params, image).output
+        back = entry.inverse_core(params, image)
         if back != source:
             failures.append(f"round trip failed: {source} -> {image} -> {back}")
     if len(seen) != size:

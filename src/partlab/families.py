@@ -423,10 +423,14 @@ def _enum_kind(spec: FamilySpec, params: dict[str, int]) -> EnumKind:
 
 def _enum_table(spec: FamilySpec, params: dict[str, int], n: int, cap: int | None) -> tuple[int, ...]:
     """The family's values at 0..m for some m >= n, memoized per (family,
-    params); a miss counts 0..n in one call, and a derived family combines
-    the tables of its pieces."""
+    params); a derived family combines the tables of its pieces.  A first
+    request counts 0..n in one call.  A request past the memoized top counts
+    to at least twice that top (within the enumeration cap), so an ascending
+    sweep recounts a table a logarithmic number of times, not at every n."""
     key = (spec.id, _params_key(params))
     table = _enum_memo.get(key)
+    if table is not None and len(table) <= n:
+        n = max(n, min(2 * (len(table) - 1), enumeration.resolve_cap(cap)))
     if table is None or len(table) <= n:
         if spec.kind == "derived":
             subs = [(coef, _enum_table(get_spec(sub), params if get_spec(sub).param_names else {}, n, cap))

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from partlab import enumeration, families, qseries
+from partlab import acceptance, bijections, enumeration, families, qseries
+from partlab.partition import Partition
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -82,3 +83,27 @@ def test_fold_count_is_one_int_per_weight(family, family_kind):
     assert type(got) is tuple and len(got) == 13
     assert all(type(value) is int for value in got)
     assert got == families.enum_values(family, 12)
+
+
+def test_bijection_sweep_reaches_its_layers(monkeypatch):
+    # bijection-sweep's REACHED list needs bijections.maps.calls,
+    # partition.Partition.init_calls, families.enumerate_class.calls and
+    # families.membership.calls > 0.  The sweep maps through untraced cores,
+    # so it reaches these names only through the splitting maps, one
+    # Partition(...) per image, the domain enumeration and one codomain
+    # predicate per cell.
+    calls = {}
+    targets = [(bijections, "glaisher"), (bijections, "glaisher_inv"), (Partition, "__init__"),
+               (families, "enumerate_class"), (families, "membership")]
+    for owner, name in targets:
+        def counting(*args, name=name, original=getattr(owner, name)):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+        monkeypatch.setattr(owner, name, counting)
+    checks = 0
+    for name, params in acceptance._bijection_cells():
+        for n in range(9):
+            assert bijections.exhaustive_cell_check(name, params, n) == []
+            checks += 1
+    assert all(calls.get(name, 0) > 0 for _, name in targets), calls
+    assert calls["membership"] == checks == 225

@@ -271,17 +271,29 @@ def test_sweep_reports_wrong_inverse(monkeypatch):
 
 
 def test_sweep_reports_wrong_genr_inverse(monkeypatch):
-    original = bj.genr_d_to_f
+    original = bj._genr_d_to_f_core
 
-    def faulty(p, k, r, partition):
-        trace = original(p, k, r, partition)
-        if partition == P("1^4"):
-            return bj.BijectionTrace(trace.input, P("3,1"), trace.steps)
-        return trace
+    def faulty(k, partition, steps=None):
+        image = original(k, partition, steps)
+        return P("3,1") if partition == P("1^4") else image
 
-    monkeypatch.setattr(bj, "genr_d_to_f", faulty)
+    monkeypatch.setattr(bj, "_genr_d_to_f_core", faulty)
     failures = bj.exhaustive_cell_check("genr", {"p": 2, "k": 2, "r": 1}, 4)
     assert len(failures) == 1 and failures[0].startswith("round trip failed")
+
+
+@pytest.mark.parametrize("name,params,core,source", [
+    ("genr", {"p": 2, "k": 2, "r": 1}, "_genr_f_to_d_core", "2^2"),
+    ("dpk", {"p": 2, "k": 2}, "_dpk_to_dp_core", "1^4"),
+])
+def test_sweep_reports_core_image_outside_codomain(name, params, core, source, monkeypatch):
+    # The sweep runs the cores, which check no class, so a faulty image
+    # reaches the sweep's own codomain check instead of raising DomainError.
+    original = getattr(bj, core)
+    monkeypatch.setattr(bj, core, lambda *args: args[-1] if args[-1] == P(source) else original(*args))
+    failures = bj.exhaustive_cell_check(name, params, 4)
+    assert f"image outside the target class: {source} -> {source}" in failures
+    assert failures[-1].startswith("not surjective at n=4")
 
 
 # --- the bijection table ------------------------------------------------------

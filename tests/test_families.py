@@ -1,6 +1,6 @@
 import pytest
 
-from partlab import cli, families, qseries
+from partlab import acceptance, bijections, cli, enumeration, families, qseries
 from partlab.errors import DomainError, ResourceLimitError, UnknownFamilyError, UnsupportedFamilyError
 from partlab.families import (
     closed_form_cells,
@@ -214,6 +214,38 @@ def test_cap_checked_on_memoized_table():
         families.enum_values("d_e", 50, cap=40)
     assert count_enum("d_e", 40, cap=40) == table[40]
     assert families.enum_values("d_e", 40, cap=40) == table[:41]
+
+
+def test_table_regrowth_doubles_its_top(monkeypatch):
+    # A first request counts exactly to n.  A request past the memoized top
+    # counts to twice that top, within the cap, so criterion 7's ascending
+    # reads of its 21 codomain cells at n = 0..30 count each cell at tops 0,
+    # 1, 2, 4, 8, 16 and 32, not at every n.
+    tops = []
+    transfer = enumeration._fold_transfer
+
+    def counting(n, bound, fold):
+        tops.append(n)
+        return transfer(n, bound, fold)
+
+    monkeypatch.delenv(enumeration.CAP_ENV_VAR, raising=False)
+    monkeypatch.setattr(enumeration, "_fold_transfer", counting)
+    monkeypatch.setattr(families, "_enum_memo", {})
+    assert count_enum("d_e", 7) == 3 and tops == [7]
+    assert len(families._enum_memo[("d_e", ())]) == 8
+    assert count_enum("d_e", 8) == 6 and tops == [7, 14]
+    assert count_enum("d_e", 15, cap=20) == enum_values("d_e", 20)[15] and tops == [7, 14, 20]
+
+    tops.clear()
+    monkeypatch.setattr(families, "_enum_memo", {})
+    codomains = set()
+    for name, params in acceptance._bijection_cells():
+        family, family_params = bijections.BIJECTIONS[name].classes(params)[1]
+        codomains.add((family, tuple(sorted(family_params.items()))))
+        for n in range(31):
+            count_enum(family, n, family_params)
+    assert len(codomains) == 21
+    assert len(tops) == 147 and set(tops) == {0, 1, 2, 4, 8, 16, 32}
 
 
 def test_order_bound_checked_on_every_series_read(monkeypatch, capsys):
