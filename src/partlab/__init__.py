@@ -16,10 +16,11 @@ from .errors import (
     UnknownIdentityError,
     UnsupportedFamilyError,
 )
-from .families import count_enum, count_series, recurrence_d_e
+# partlab.gf_family checks the cell first; qseries.gf_family does not.
+from .families import count_enum, count_series, recurrence_d_e, series_for as gf_family
 from .identities import IdentityReport, IdentitySpec, list_identities, verify, verify_cells
 from .partition import Partition, format_partition, parse_partition
-from .qseries import Series, gf_family
+from .qseries import Series
 
 __version__ = "0.1.0"
 

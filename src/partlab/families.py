@@ -464,7 +464,9 @@ def enum_values(family: str, n_max: int, params: Params | None = None,
 
 def series_for(family: str, params: Params | None = None, order: int | None = None) -> qseries.Series:
     """Closed-form series for the family, built at the requested order (the
-    default order when None) on every call."""
+    default order when None) on every call, after its params are checked:
+    UnknownFamilyError for an unregistered family, DomainError for a cell
+    outside its family's domain.  Exported as ``partlab.gf_family``."""
     norm = normalize_params(family, params)
     return qseries.gf_family(family, norm, qseries.DEFAULT_ORDER if order is None else order)
 

@@ -4,11 +4,14 @@ All infinite products and sums are kept as truncations at a fixed order N;
 arithmetic never silently drops below the operands' common order.  The module
 also builds the closed-form generating functions of the counting families
 (``gf_family``).  Each is 1/(q;q)_inf or has one shape, a numerator
-(q^c; q^step)_inf times a Lambert-type sum, divided by (q;q)_inf.
+(q^c; q^step)_inf times a Lambert-type sum, divided by (q;q)_inf: a dense
+numerator goes onto the sum one factor at a time, and the division groups
+(q;q)_inf's +-1 terms.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Iterable, Mapping
 
 from . import numtheory
@@ -94,20 +97,24 @@ def mul(a: Series, b: Series) -> Series:
 
 def quotient(x: Series, a: Series) -> Series:
     """x / a, by y_n = a0 (x_n - sum of a_k y_(n-k)) over a's nonzero terms
-    with k >= 1; the constant coefficient a0 must be +1 or -1."""
+    with k >= 1, summing the y_(n-k) of equal a_k first: two multiplications
+    per y_n for (q;q)_inf.  The constant coefficient a0 must be +1 or -1."""
     order = _same_order(x, a)
     a0 = a.coeffs[0]
     if a0 not in (1, -1):
         raise DomainError(f"division needs constant coefficient +-1, got {a0}")
-    terms = _terms(a)[1:]
-    out = list(x.coeffs)
+    pending = _terms(a)[:0:-1]  # terms with k >= 1, largest k first
+    groups: dict[int, list[int]] = {}  # a_k -> [-k, ...] for the k <= n
+    xs, out = x.coeffs, []  # out holds y_0 .. y_(n-1), so out[-k] is y_(n-k)
+    get = out.__getitem__
     for n in range(order + 1):
-        s = out[n]
-        for k, ak in terms:
-            if k > n:
-                break
-            s -= ak * out[n - k]
-        out[n] = a0 * s
+        while pending and pending[-1][0] <= n:
+            k, ak = pending.pop()
+            groups.setdefault(ak, []).append(-k)
+        s = xs[n]
+        for ak, ks in groups.items():
+            s -= ak * sum(map(get, ks))
+        out.append(a0 * s)
     return Series(out)
 
 
@@ -116,32 +123,26 @@ def inverse(a: Series) -> Series:
     return quotient(Series.one(a.order), a)
 
 
-def pochhammer(offset: int, step: int, order: int) -> Series:
-    """Truncation of the product of (1 - q^(offset + i*step)) over i >= 0."""
+def times_pochhammer(x: Series, offset: int, step: int, plus: bool = False) -> Series:
+    """x times the product of (1 -+ q^e) over e = offset + i*step, i >= 0
+    (1 + q^e if plus): one slice pass y_n -+= y_(n-e) per factor e <= order."""
     if offset < 1 or step < 1:
         raise DomainError("pochhammer needs offset >= 1 and step >= 1")
-    c = [0] * (order + 1)
-    c[0] = 1
-    e = offset
-    while e <= order:
-        for i in range(order, e - 1, -1):
-            c[i] -= c[i - e]
-        e += step
-    return Series(c)
+    op = operator.add if plus else operator.sub
+    y = list(x.coeffs)
+    for e in range(offset, len(y), step):
+        y[e:] = list(map(op, y[e:], y))
+    return Series(y)
+
+
+def pochhammer(offset: int, step: int, order: int) -> Series:
+    """Truncation of the product of (1 - q^(offset + i*step)) over i >= 0."""
+    return times_pochhammer(Series.one(order), offset, step)
 
 
 def pochhammer_plus(offset: int, step: int, order: int) -> Series:
     """Truncation of the product of (1 + q^(offset + i*step)) over i >= 0."""
-    if offset < 1 or step < 1:
-        raise DomainError("pochhammer_plus needs offset >= 1 and step >= 1")
-    c = [0] * (order + 1)
-    c[0] = 1
-    e = offset
-    while e <= order:
-        for i in range(order, e - 1, -1):
-            c[i] += c[i - e]
-        e += step
-    return Series(c)
+    return times_pochhammer(Series.one(order), offset, step, plus=True)
 
 
 def lambert(offset: int, step: int, sign: int, order: int) -> Series:
@@ -192,8 +193,9 @@ def cube_series(order: int) -> Series:
 # Closed-form generating functions.  Every family except s = 1/(q;q)_inf is
 # (q^c; q^step)_inf * S / (q;q)_inf for a Lambert-type sum S, and its entry
 # in CLOSED_FORMS gives ((c, step), S) at an order.  With c = step the
-# numerator is the pentagonal series in q^step; (-q;q)_inf, the product for
-# a, c, a_r and g_r, is (q^2;q^2)_inf / (q;q)_inf.
+# numerator is the sparse pentagonal series in q^step, which mul takes; else
+# (d_o, f2, f_pkr/d_pkr with r != 0) times_pochhammer applies its factors to
+# S one by one.  (-q;q)_inf, for a, c, a_r and g_r, is (q^2;q^2)_inf/(q;q)_inf.
 # ---------------------------------------------------------------------------
 
 Form = tuple[tuple[int, int], Series]
@@ -274,5 +276,5 @@ def gf_family(family: str, params: Mapping[str, int] | None = None, order: int =
     if shape is None:
         return inverse(pentagonal_series(order))
     (c, step), total = shape
-    numerator = pentagonal_series(order, step) if c == step else pochhammer(c, step, order)
-    return quotient(mul(numerator, total), pentagonal_series(order))
+    total = mul(pentagonal_series(order, step), total) if c == step else times_pochhammer(total, c, step)
+    return quotient(total, pentagonal_series(order))

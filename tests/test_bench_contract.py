@@ -35,21 +35,22 @@ def test_traced_attribute_is_callable(module_name, attr):
 
 def test_series_builds_reach_mul_and_inverse(monkeypatch):
     # series-deep's REACHED list needs qseries.mul.calls and
-    # qseries.inverse.calls > 0: an s build inverts (q;q)_inf once, and the
-    # other closed forms multiply a numerator by their sum.
-    calls = {"mul": 0, "inverse": 0}
+    # qseries.inverse.calls > 0: an s build inverts (q;q)_inf once, the
+    # closed forms with a theta numerator (q^k;q^k)_inf multiply it by their
+    # sum, and the 62 with a dense numerator apply it factor by factor.
+    calls = {"mul": 0, "inverse": 0, "times_pochhammer": 0}
     for name in calls:
         def counting(*args, name=name, original=getattr(qseries, name)):
             calls[name] += 1
             return original(*args)
         monkeypatch.setattr(qseries, name, counting)
     qseries.gf_family("s", {}, 100)
-    assert calls == {"mul": 0, "inverse": 1}
+    assert calls == {"mul": 0, "inverse": 1, "times_pochhammer": 0}
     cells = families.closed_form_cells()
     assert len(cells) == 212
     for family, params in cells:
         qseries.gf_family(family, params, 100)
-    assert calls["inverse"] == 2 and calls["mul"] == 211
+    assert calls == {"mul": 149, "inverse": 2, "times_pochhammer": 62}
 
 
 def test_every_series_read_builds_once(monkeypatch):

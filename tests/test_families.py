@@ -1,5 +1,6 @@
 import pytest
 
+import partlab
 from partlab import acceptance, bijections, cli, enumeration, families, qseries
 from partlab.errors import DomainError, ResourceLimitError, UnknownFamilyError, UnsupportedFamilyError
 from partlab.families import (
@@ -58,6 +59,27 @@ def test_param_validation():
         count_enum("d_pkr", 5, {"p": 2, "k": 2, "r": 2})  # needs r < p
     with pytest.raises(DomainError):
         count_enum("d_e", 5, {"p": 2})  # takes no parameters
+
+
+@pytest.mark.parametrize("family, params, message", [
+    ("f_pkr", {"p": 2, "k": 2, "r": 5}, "need 0 <= r < p"),
+    ("o_p", {"p": 1}, "need p >= 2"),
+    ("h", {"p": 0, "i": 0}, "need p >= 2"),
+])
+def test_exported_gf_family_checks_the_cell(family, params, message):
+    # The unchecked builder returns a series for the first two cells (all
+    # zeros for the first) and fails on the third with a lambert message.
+    with pytest.raises(DomainError, match=message):
+        partlab.gf_family(family, params, 6)
+
+
+def test_exported_gf_family_errors():
+    assert partlab.gf_family("d_e", {}, 8) == qseries.gf_family("d_e", {}, 8)
+    assert partlab.gf_family("s").order == qseries.DEFAULT_ORDER
+    with pytest.raises(UnknownFamilyError):
+        partlab.gf_family("nope", {}, 6)
+    with pytest.raises(UnsupportedFamilyError):
+        partlab.gf_family("b_prime", {}, 6)
 
 
 def test_cap_propagates():

@@ -17,6 +17,7 @@ from partlab.qseries import (
     pochhammer_plus,
     quotient,
     scale,
+    times_pochhammer,
 )
 
 coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=12)
@@ -264,6 +265,44 @@ def test_quotient_matches_schoolbook(pair, a0):
     want = tuple(_schoolbook_quotient(xs, coeffs))
     assert quotient(Series(xs), Series(coeffs)).coeffs == want
     assert inverse(Series(coeffs)) == quotient(Series.one(len(coeffs) - 1), Series(coeffs))
+
+
+def _schoolbook_pochhammer(xs, offset, step, sign):
+    # One schoolbook product per factor (1 + sign*q^e), e = offset + i*step.
+    out = list(xs)
+    for e in range(offset, len(xs), step):
+        factor = [0] * len(xs)
+        factor[0] = 1
+        factor[e] += sign
+        out = _schoolbook_mul(out, factor)
+    return out
+
+
+@given(st.integers(0, 80).flatmap(_signed_series), st.integers(1, 8), st.integers(1, 8),
+       st.booleans())
+def test_times_pochhammer_matches_schoolbook(xs, offset, step, plus):
+    sign = 1 if plus else -1
+    want = tuple(_schoolbook_pochhammer(xs, offset, step, sign))
+    assert times_pochhammer(Series(xs), offset, step, plus).coeffs == want
+    order = len(xs) - 1
+    build = pochhammer_plus if plus else pochhammer
+    assert build(offset, step, order).coeffs == tuple(
+        _schoolbook_pochhammer([1] + [0] * order, offset, step, sign))
+
+
+# Divisors whose nonzero coefficients k >= 1 take few values: the theta
+# products (q^k;q^k)_inf are +-1 throughout, the dense pochhammers small.
+_product_divisors = st.one_of(
+    st.builds(lambda k: lambda order: pentagonal_series(order, k), st.integers(1, 8)),
+    st.builds(lambda c, step: lambda order: pochhammer(c, step, order),
+              st.integers(1, 8), st.integers(1, 8)),
+)
+
+
+@given(st.integers(0, 80).flatmap(_signed_series), _product_divisors)
+def test_quotient_by_product_matches_schoolbook(xs, divisor):
+    a = divisor(len(xs) - 1)
+    assert quotient(Series(xs), a).coeffs == tuple(_schoolbook_quotient(xs, list(a.coeffs)))
 
 
 def test_order_bound(monkeypatch):
