@@ -16,15 +16,7 @@ import sys
 from typing import Sequence
 
 from . import bijections, families, identities, qseries
-from .errors import (
-    DomainError,
-    InvalidPartitionError,
-    PartlabError,
-    ResourceLimitError,
-    UnknownFamilyError,
-    UnknownIdentityError,
-    UnsupportedFamilyError,
-)
+from .errors import DomainError, PartlabError, ResourceLimitError
 from .partition import format_partition, parse_partition
 
 EXIT_OK = 0
@@ -76,11 +68,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
         if lo < 0 or hi < lo:
             raise _UsageError(f"bad range {lo}..{hi}")
         if args.engine == "series":
-            if args.max_n is not None:
-                raise _UsageError("--max-n caps enumeration; it does not apply to --engine series")
             values = families.series_for(args.family, params, hi).coeffs
         else:
-            values = families.enum_values(args.family, hi, params, cap=args.max_n)
+            values = families.enum_values(args.family, hi, params)
         rows = [(n, values[n]) for n in range(lo, hi + 1)]
     except DomainError as exc:
         raise _UsageError(str(exc)) from exc
@@ -179,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p_table)
     p_table.add_argument("--engine", choices=("enum", "series"), default="enum")
     p_table.add_argument("--format", choices=("csv", "json", "pretty"), default="csv")
-    p_table.add_argument("--max-n", type=int, default=None, help="enumeration cap override")
     p_table.set_defaults(func=_cmd_table)
 
     p_series = sub.add_parser("series", help="dump closed-form coefficients as n,coefficient rows")
@@ -222,10 +211,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (InvalidPartitionError, UnknownFamilyError, UnknownIdentityError,
-            UnsupportedFamilyError, _UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -235,10 +220,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PartlabError as exc:
+    except (ValueError, PartlabError) as exc:
+        # Bad partitions, unknown ids, families without a closed form and
+        # _UsageError: none is a DomainError.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -61,20 +61,19 @@ def multiplicity_at_most(b: int) -> EnumKind:
     return EnumKind(f"multiplicity_at_most({b})", b)
 
 
-def resolve_cap(cap: int | None = None) -> int:
-    """Effective enumeration cap: explicit argument, else the PARTLAB_MAX_N
-    environment variable, else the built-in default."""
-    return resolve_limit(cap, CAP_ENV_VAR, DEFAULT_CAP, "cap")
+def resolve_cap() -> int:
+    """Effective enumeration cap: the PARTLAB_MAX_N environment variable,
+    else the built-in default."""
+    return resolve_limit(CAP_ENV_VAR, DEFAULT_CAP)
 
 
-def _check_request(n: int, cap: int | None) -> None:
+def _check_request(n: int) -> None:
     if n < 0:
         raise DomainError(f"partition weight must be nonnegative, got {n}")
-    limit = resolve_cap(cap)
+    limit = resolve_cap()
     if n > limit:
         raise ResourceLimitError(
-            f"enumeration of n={n} exceeds the cap {limit} "
-            f"(raise it via the cap argument or {CAP_ENV_VAR})"
+            f"enumeration of n={n} exceeds the cap {limit} (raise it via {CAP_ENV_VAR})"
         )
 
 
@@ -117,7 +116,7 @@ def _walk(n: int, bound: int | None) -> Iterator[PairSeq]:
     yield from rec(n, n)
 
 
-def pair_sequences(n: int, kind: EnumKind = ALL, cap: int | None = None,
+def pair_sequences(n: int, kind: EnumKind = ALL, *,
                    fold: Fold | None = None) -> Iterable[PairSeq] | tuple[int, ...]:
     """Walk the constrained pair sequences of the kind.
 
@@ -129,7 +128,7 @@ def pair_sequences(n: int, kind: EnumKind = ALL, cap: int | None = None,
     With a fold: the fold's total over the sequences of each weight 0..n,
     counted by ``_fold_transfer`` without materialising them.
     """
-    _check_request(n, cap)
+    _check_request(n)
     if fold is not None:
         return _fold_transfer(n, kind.bound, fold)
     if n > _CACHE_LIMIT:
@@ -141,14 +140,14 @@ def pair_sequences(n: int, kind: EnumKind = ALL, cap: int | None = None,
     return got
 
 
-def generate(n: int, kind: EnumKind = ALL, cap: int | None = None) -> Iterator[Partition]:
+def generate(n: int, kind: EnumKind = ALL) -> Iterator[Partition]:
     """Yield each qualifying partition of weight n exactly once.
 
     For n=0 yields exactly the empty partition.  Raises ResourceLimitError
-    when n exceeds the enumeration cap.
+    when n exceeds the enumeration cap (``resolve_cap``).
     """
     raw = Partition._raw
-    for pairs in pair_sequences(n, kind, cap):
+    for pairs in pair_sequences(n, kind):
         yield raw(pairs, n)
 
 

@@ -377,7 +377,6 @@ _register(FamilySpec(
 # ---------------------------------------------------------------------------
 
 _enum_memo: dict[tuple[str, tuple[tuple[str, int], ...]], tuple[int, ...]] = {}
-_member_memo: dict[tuple[str, frozenset], Callable[[Partition], bool]] = {}
 
 
 def family_ids() -> tuple[str, ...]:
@@ -421,7 +420,7 @@ def _enum_kind(spec: FamilySpec, params: dict[str, int]) -> EnumKind:
     return spec.enum_kind(params) if spec.enum_kind is not None else ALL
 
 
-def _enum_table(spec: FamilySpec, params: dict[str, int], n: int, cap: int | None) -> tuple[int, ...]:
+def _enum_table(spec: FamilySpec, params: dict[str, int], n: int) -> tuple[int, ...]:
     """The family's values at 0..m for some m >= n, memoized per (family,
     params); a derived family combines the tables of its pieces.  A first
     request counts 0..n in one call.  A request past the memoized top counts
@@ -430,36 +429,35 @@ def _enum_table(spec: FamilySpec, params: dict[str, int], n: int, cap: int | Non
     key = (spec.id, _params_key(params))
     table = _enum_memo.get(key)
     if table is not None and len(table) <= n:
-        n = max(n, min(2 * (len(table) - 1), enumeration.resolve_cap(cap)))
+        n = max(n, min(2 * (len(table) - 1), enumeration.resolve_cap()))
     if table is None or len(table) <= n:
         if spec.kind == "derived":
-            subs = [(coef, _enum_table(get_spec(sub), params if get_spec(sub).param_names else {}, n, cap))
+            subs = [(coef, _enum_table(get_spec(sub), params if get_spec(sub).param_names else {}, n))
                     for coef, sub in spec.combine]
             table = tuple(sum(coef * values[i] for coef, values in subs)
                           for i in range(min(len(values) for _, values in subs)))
         else:
             fold = spec.make_fold(*_spec_args(spec, params))
-            table = tuple(enumeration.pair_sequences(n, _enum_kind(spec, params), cap, fold))
+            table = tuple(enumeration.pair_sequences(n, _enum_kind(spec, params), fold=fold))
         _enum_memo[key] = table
     return table
 
 
-def count_enum(family: str, n: int, params: Params | None = None, cap: int | None = None) -> int:
+def count_enum(family: str, n: int, params: Params | None = None) -> int:
     """Exact value of the family at n by exhaustive enumeration."""
     spec = get_spec(family)
     norm = normalize_params(family, params)
     # The cap applies to the request even when the value is already memoized.
-    enumeration._check_request(n, cap)
-    return _enum_table(spec, norm, n, cap)[n]
+    enumeration._check_request(n)
+    return _enum_table(spec, norm, n)[n]
 
 
-def enum_values(family: str, n_max: int, params: Params | None = None,
-                cap: int | None = None) -> tuple[int, ...]:
+def enum_values(family: str, n_max: int, params: Params | None = None) -> tuple[int, ...]:
     """Exact values of the family at n = 0..n_max, all read off the table
     that ``count_enum(family, n_max)`` checks the request for and fills."""
-    count_enum(family, n_max, params, cap)
+    count_enum(family, n_max, params)
     # count_enum accepted the params, so they are already in normal form.
-    return _enum_table(get_spec(family), dict(params or {}), n_max, cap)[:n_max + 1]
+    return _enum_table(get_spec(family), dict(params or {}), n_max)[:n_max + 1]
 
 
 def series_for(family: str, params: Params | None = None, order: int | None = None) -> qseries.Series:
@@ -502,26 +500,17 @@ def _class_acceptor(family: str, params: Params | None) -> tuple[Callable[[PairS
 
 
 def membership(family: str, params: Params | None = None) -> Callable[[Partition], bool]:
-    """Class-membership predicate over Partition values, built once per
-    (family, params).  Only integer-valued params are memo keys, so bad ones
-    always reach validation."""
-    given = dict(params or {})
-    key = (family, frozenset(given.items())) if all(type(v) is int for v in given.values()) else None
-    member = _member_memo.get(key)
-    if member is None:
-        accepts, _ = _class_acceptor(family, given)
-        member = lambda partition: accepts(partition.pairs)
-        if key is not None:
-            _member_memo[key] = member
-    return member
+    """Class-membership predicate over Partition values, built (and its
+    params validated) afresh on every call."""
+    accepts, _ = _class_acceptor(family, params)
+    return lambda partition: accepts(partition.pairs)
 
 
-def enumerate_class(family: str, n: int, params: Params | None = None,
-                    cap: int | None = None) -> tuple[Partition, ...]:
+def enumerate_class(family: str, n: int, params: Params | None = None) -> tuple[Partition, ...]:
     """All weight-n members of a class family, in enumeration order."""
     accepts, kind = _class_acceptor(family, params)
     raw = Partition._raw
-    return tuple(raw(pairs, n) for pairs in enumeration.pair_sequences(n, kind, cap) if accepts(pairs))
+    return tuple(raw(pairs, n) for pairs in enumeration.pair_sequences(n, kind) if accepts(pairs))
 
 
 # ---------------------------------------------------------------------------

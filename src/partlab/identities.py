@@ -309,15 +309,23 @@ def _resolve_n_max(spec: IdentitySpec, engine: str, n_max: int | None) -> int:
 
 
 def _match_cell(spec: IdentitySpec, params: Mapping[str, int] | None,
-                strict: bool = True) -> list[Params]:
+                n_max: int | None, strict: bool = True) -> list[Params]:
+    """The grid cells matching ``params``, less the congruence cells whose
+    first checked n, the offset, is past ``n_max``.  The default n_max
+    (None) reaches every offset."""
     cells = spec.cells()
     matched = [cell for cell in cells if all(cell.get(k) == v for k, v in (params or {}).items())]
+    reached = [cell for cell in matched
+               if spec.kind != "congruence" or n_max is None or cell["offset"] <= n_max]
     if strict and not matched:
         raise DomainError(
             f"{spec.id} has no grid cell matching {dict(params)!r}; "
             f"valid cells: {[format_params(c) or '-' for c in cells]}"
         )
-    return matched
+    if strict and not reached:
+        raise DomainError(f"{spec.id} {format_params(matched[0])} checks no n up to n_max={n_max}: "
+                          f"its first checked index is {matched[0]['offset']}")
+    return reached
 
 
 def verify(identity_id: str, params: Mapping[str, int] | None = None,
@@ -328,7 +336,7 @@ def verify(identity_id: str, params: Mapping[str, int] | None = None,
     ``engine`` is one of the identity's allowed engines or "both".
     """
     spec = get_identity(identity_id)
-    matched = _match_cell(spec, params)
+    matched = _match_cell(spec, params, n_max)
     if len(matched) > 1:
         raise DomainError(
             f"{identity_id} needs parameters to select one of its "
@@ -352,7 +360,7 @@ def verify(identity_id: str, params: Mapping[str, int] | None = None,
         if eng == "enum":
             # Every enum run reads a family to n_max; check the cap before a
             # derived sequence (I9's recurrence) does work for nothing.
-            enumeration._check_request(resolved, None)
+            enumeration._check_request(resolved)
         used_n_max = max(used_n_max, resolved)
         counterexample = _run_relation(spec, cell, resolved, eng)
         if counterexample is not None:
@@ -403,14 +411,16 @@ def verify_cells(ids: Iterable[str] | None = None,
     for identity_id in wanted:
         spec = get_identity(identity_id)
         # A blanket request skips identities that cannot run the engine or
-        # have no matching cell; explicitly requested ids still error.
+        # have no matching cell that n_max reaches; explicitly requested ids
+        # still error.
         if sweep_all and engine not in (None, "both", *spec.engines):
             continue
-        for cell in _match_cell(spec, params, strict=not sweep_all):
+        for cell in _match_cell(spec, params, n_max, strict=not sweep_all):
             tasks.append((identity_id, tuple(sorted(cell.items())), n_max, engine))
     if not tasks and sweep_all:
         runs = f" that runs engine {engine!r}" if engine not in (None, "both") else ""
-        raise DomainError(f"no identity{runs} has a grid cell matching {dict(params or {})!r}")
+        reach = f" with a checked index up to n_max={n_max}" if n_max is not None else ""
+        raise DomainError(f"no identity{runs} has a grid cell matching {dict(params or {})!r}{reach}")
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

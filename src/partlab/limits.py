@@ -1,5 +1,6 @@
 """Resource bounds: the enumeration cap (``PARTLAB_MAX_N``) and the series
-order bound (``PARTLAB_MAX_ORDER``) resolve the same way."""
+order bound (``PARTLAB_MAX_ORDER``) are each set only by their environment
+variable, and resolve the same way."""
 
 from __future__ import annotations
 
@@ -8,13 +9,9 @@ import os
 from .errors import DomainError
 
 
-def resolve_limit(explicit: int | None, env_var: str, default: int, name: str) -> int:
-    """Effective bound: the explicit argument, else the environment variable
-    ``env_var``, else ``default``.  ``name`` labels a bad explicit value."""
-    if explicit is not None:
-        if explicit < 0:
-            raise DomainError(f"{name} must be nonnegative, got {explicit}")
-        return explicit
+def resolve_limit(env_var: str, default: int) -> int:
+    """Effective bound: the environment variable ``env_var``, else
+    ``default``."""
     raw = os.environ.get(env_var)
     if raw is None:
         return default

@@ -263,7 +263,7 @@ def gf_family(family: str, params: Mapping[str, int] | None = None, order: int =
         raise UnsupportedFamilyError(f"family {family!r} has no closed-form generating function")
     if order < 0:
         raise DomainError(f"order must be nonnegative, got {order}")
-    limit = resolve_limit(None, MAX_ORDER_ENV_VAR, DEFAULT_MAX_ORDER, "order bound")
+    limit = resolve_limit(MAX_ORDER_ENV_VAR, DEFAULT_MAX_ORDER)
     if order > limit:
         raise ResourceLimitError(
             f"series order {order} exceeds the bound {limit} (raise it via {MAX_ORDER_ENV_VAR})"

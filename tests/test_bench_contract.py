@@ -80,7 +80,7 @@ def test_fold_count_is_one_int_per_weight(family, family_kind):
     spec = families.get_spec(family)
     assert spec.kind == family_kind
     kind = spec.enum_kind({}) if spec.enum_kind is not None else enumeration.ALL
-    got = enumeration.pair_sequences(12, kind, None, spec.make_fold())
+    got = enumeration.pair_sequences(12, kind, fold=spec.make_fold())
     assert type(got) is tuple and len(got) == 13
     assert all(type(value) is int for value in got)
     assert got == families.enum_values(family, 12)

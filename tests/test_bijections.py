@@ -216,9 +216,9 @@ def test_sweep_enumerates_only_the_domain(name, params, monkeypatch):
     calls = []
     original = families.enumerate_class
 
-    def recording(family, n, family_params=None, cap=None):
+    def recording(family, n, family_params=None):
         calls.append((family, n, family_params))
-        return original(family, n, family_params, cap)
+        return original(family, n, family_params)
 
     monkeypatch.setattr(families, "enumerate_class", recording)
     assert bj.exhaustive_cell_check(name, params, 12) == []

@@ -142,6 +142,22 @@ def test_verify_past_the_enumeration_cap(capsys, monkeypatch):
     assert "exceeds the cap 80" in err
 
 
+def test_verify_i6_skips_cells_past_n_max(capsys):
+    code, out, _ = run(capsys, "verify", "I6", "--n-max", "5")
+    assert code == 0
+    assert [line.split()[1] for line in out.splitlines()] == ["p=5,offset=4", "p=7,offset=5"]
+    for argv in (("I6", "--n-max", "3"), ("I6", "--p", "11", "--n-max", "5")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert "checks no n up to n_max" in err
+    code, out, _ = run(capsys, "verify", "all", "--n-max", "3")
+    assert code == 0
+    assert "I6" not in out
+    code, _, err = run(capsys, "verify", "all", "--p", "11", "--n-max", "5")
+    assert code == 2
+    assert "matching {'p': 11} with a checked index up to n_max=5" in err
+
+
 def test_verify_i15_runs_each_cell_once(capsys, monkeypatch):
     calls = []
     original = identities.verify
@@ -260,8 +276,10 @@ def test_verify_all_with_params_skips_identities_without_a_matching_cell(capsys)
     assert "I1 has no grid cell" in err
 
 
-def test_table_series_engine_rejects_max_n(capsys):
-    code, out, err = run(capsys, "table", "d_e", "0..3", "--engine", "series", "--max-n", "2")
+@pytest.mark.parametrize("engine", ["enum", "series"])
+def test_table_rejects_max_n(capsys, engine):
+    # PARTLAB_MAX_N is the only way to set the enumeration cap.
+    code, out, err = run(capsys, "table", "d_e", "0..3", "--engine", engine, "--max-n", "2")
     assert code == 2
     assert out == ""
     assert "--max-n" in err
@@ -269,9 +287,11 @@ def test_table_series_engine_rejects_max_n(capsys):
 
 def test_env_cap_and_flag_precedence(capsys, monkeypatch):
     monkeypatch.setenv(CAP_ENV_VAR, "10")
-    code, _, _ = run(capsys, "table", "s", "11", "11")
+    code, _, err = run(capsys, "table", "s", "11", "11")
     assert code == 3
-    code, out, _ = run(capsys, "table", "s", "11", "11", "--max-n", "11")
+    assert "n=11 exceeds the cap 10 (raise it via PARTLAB_MAX_N)" in err
+    monkeypatch.setenv(CAP_ENV_VAR, "11")
+    code, out, _ = run(capsys, "table", "s", "11", "11")
     assert code == 0
     assert out.strip() == "11,56"
 

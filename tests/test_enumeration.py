@@ -1,6 +1,6 @@
 import pytest
 
-from partlab import enumeration, qseries
+from partlab import enumeration, families, qseries
 from partlab.enumeration import ALL, DISTINCT, generate, multiplicity_at_most
 from partlab.errors import DomainError, ResourceLimitError
 from partlab.partition import Partition, format_partition
@@ -70,7 +70,8 @@ def test_cap_enforced_and_overridable(monkeypatch):
     with pytest.raises(ResourceLimitError):
         list(generate(enumeration.DEFAULT_CAP + 1, ALL))
     beyond = enumeration.DEFAULT_CAP + 1
-    assert sum(1 for _ in generate(beyond, DISTINCT, cap=beyond)) > 0
+    monkeypatch.setenv(enumeration.CAP_ENV_VAR, str(beyond))
+    assert sum(1 for _ in generate(beyond, DISTINCT)) > 0
 
     monkeypatch.setenv(enumeration.CAP_ENV_VAR, "10")
     with pytest.raises(ResourceLimitError):
@@ -80,6 +81,17 @@ def test_cap_enforced_and_overridable(monkeypatch):
     monkeypatch.setenv(enumeration.CAP_ENV_VAR, "not-a-number")
     with pytest.raises(DomainError):
         list(generate(1, ALL))
+
+
+def test_cap_has_no_per_call_override():
+    # PARTLAB_MAX_N is the only way to set the cap, and the fold is
+    # keyword-only, so a stale positional cap is not taken as a fold.
+    with pytest.raises(TypeError):
+        enumeration.pair_sequences(5, ALL, 5)
+    with pytest.raises(TypeError):
+        generate(5, ALL, cap=5)
+    with pytest.raises(TypeError):
+        families.count_enum("s", 5, cap=5)
 
 
 def test_negative_weight_rejected():

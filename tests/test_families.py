@@ -96,13 +96,15 @@ def test_oracle_series_agreement_full_grid():
             assert count_enum(family, n, params) == series.coeffs[n], (family, params, n)
 
 
-def test_oracle_series_agreement_deep():
+def test_oracle_series_agreement_deep(monkeypatch):
     # Counting and the series engine stay independent, so agreement far past
     # the default sizes checks both.
+    monkeypatch.setenv(enumeration.CAP_ENV_VAR, "100")
     for family, params in closed_form_cells():
-        assert enum_values(family, 100, params, cap=100) == series_for(family, params, 100).coeffs[:101], (
+        assert enum_values(family, 100, params) == series_for(family, params, 100).coeffs[:101], (
             family, params)
-    d_e = enum_values("d_e", 400, cap=400)
+    monkeypatch.setenv(enumeration.CAP_ENV_VAR, "400")
+    d_e = enum_values("d_e", 400)
     series = series_for("d_e", order=400).coeffs
     for n in range(1, 401):
         assert d_e[n] == recurrence_d_e(n) == series[n], n
@@ -226,16 +228,18 @@ def test_heavy_multiplicity_band_dies_but_larger_multiplicity_qualifies():
     assert enumerate_class("g_alpha_odd", 4, cell) == (parse_partition("1^4"),)
 
 
-def test_cap_checked_on_memoized_table():
+def test_cap_checked_on_memoized_table(monkeypatch):
+    monkeypatch.delenv(enumeration.CAP_ENV_VAR, raising=False)
     table = families.enum_values("d_e", 60)
     assert isinstance(table, tuple) and len(table) == 61
     assert isinstance(families._enum_memo[("d_e", ())], tuple)
+    monkeypatch.setenv(enumeration.CAP_ENV_VAR, "40")
     with pytest.raises(ResourceLimitError):
-        count_enum("d_e", 50, cap=40)
+        count_enum("d_e", 50)
     with pytest.raises(ResourceLimitError):
-        families.enum_values("d_e", 50, cap=40)
-    assert count_enum("d_e", 40, cap=40) == table[40]
-    assert families.enum_values("d_e", 40, cap=40) == table[:41]
+        families.enum_values("d_e", 50)
+    assert count_enum("d_e", 40) == table[40]
+    assert families.enum_values("d_e", 40) == table[:41]
 
 
 def test_table_regrowth_doubles_its_top(monkeypatch):
@@ -256,7 +260,9 @@ def test_table_regrowth_doubles_its_top(monkeypatch):
     assert count_enum("d_e", 7) == 3 and tops == [7]
     assert len(families._enum_memo[("d_e", ())]) == 8
     assert count_enum("d_e", 8) == 6 and tops == [7, 14]
-    assert count_enum("d_e", 15, cap=20) == enum_values("d_e", 20)[15] and tops == [7, 14, 20]
+    monkeypatch.setenv(enumeration.CAP_ENV_VAR, "20")
+    assert count_enum("d_e", 15) == enum_values("d_e", 20)[15] and tops == [7, 14, 20]
+    monkeypatch.delenv(enumeration.CAP_ENV_VAR)
 
     tops.clear()
     monkeypatch.setattr(families, "_enum_memo", {})
@@ -284,12 +290,8 @@ def test_order_bound_checked_on_every_series_read(monkeypatch, capsys):
         series_for("s", None, -1)
 
 
-def test_membership_memoized_per_family_and_params():
-    assert membership("d_k", {"k": 3}) is membership("d_k", {"k": 3})
-    assert membership("d_k", {"k": 3}) is not membership("d_k", {"k": 4})
+def test_membership_validates_params_on_every_call():
     for bad in ({"k": [3]}, {"k": 3.0}, {"k": True}, {"k": 1}, {"k": {}}):
         for _ in range(2):
             with pytest.raises(DomainError):
                 membership("d_k", bad)
-    # Failed builds are not memoized; non-integer params are never keys.
-    assert ("d_k", frozenset({("k", 1)})) not in families._member_memo

@@ -52,6 +52,24 @@ def test_verify_i6_series_to_order_200():
     assert report.n_max == 200
 
 
+def test_i6_cell_past_n_max_is_not_reported():
+    # A congruence first checks n = offset; a run that stops short of it
+    # checks nothing, so it must not report the cell as holding.
+    for engine in ("series", "enum"):
+        with pytest.raises(DomainError, match="first checked index is 6"):
+            verify("I6", {"p": 11, "offset": 6}, 5, engine)
+    assert verify("I6", {"p": 11, "offset": 6}, 6, "both").holds
+    # An explicit id drops such cells and errors only when none is left.
+    assert [r.params for r in verify_cells(["I6"], n_max=5)] == [
+        (("offset", 4), ("p", 5)), (("offset", 5), ("p", 7))]
+    with pytest.raises(DomainError, match="first checked index is 4"):
+        verify_cells(["I6"], n_max=3)
+    with pytest.raises(DomainError, match="first checked index is 6"):
+        verify_cells(["I6"], {"p": 11}, n_max=5)
+    # A sweep of every identity skips them.
+    assert {r.id for r in verify_cells(n_max=3)} == set(identity_ids()) - {"I6"}
+
+
 def test_verify_i1_enum():
     assert verify("I1", None, 25, "enum").holds
 
