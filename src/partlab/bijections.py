@@ -3,20 +3,19 @@
 Every map is written once, as a core: a function of its cell values and a
 partition that returns the image, built by one ``Partition(...)`` call, and
 records a ``TraceStep`` for each intermediate partition only when its caller
-passes a ``steps`` list.  The public maps (``genr_f_to_d``, ``dpk_to_dp``,
-...) check that their input lies in the domain class, run the core with a
-steps list, check that the image lies in the codomain class and return a
-``BijectionTrace``.  The splitting maps ``glaisher`` and ``glaisher_inv``
-return bare partitions and check their input inline; the other cores call
-them.
+passes a ``steps`` list.  Cores check no class.  The splitting maps
+``glaisher`` and ``glaisher_inv`` check their input inline; the other cores
+call them.
 
 ``BIJECTIONS`` declares every map once, keyed by the name that
 ``partlab map`` and the exhaustive sweep use (glaisher, genr, dpk, var0).
 An entry holds the parameter names of its cell, the (domain, codomain)
-class pair of a cell, both traced directions for ``partlab map`` and both
-untraced cores for the sweep.  ``exhaustive_cell_check`` sweeps one (map,
-cell, weight) through the cores: it enumerates only the domain class and
-checks the codomain by its membership predicate and its count.
+class pair of a cell and its two cores, as functions of (cell, partition,
+steps).  ``trace`` is the only code that checks a map's classes and frames
+a ``BijectionTrace``; ``partlab map`` and the public maps (``genr_f_to_d``,
+``dpk_to_dp``, ...) call it.  ``exhaustive_cell_check`` sweeps one (map,
+cell, weight) through the untraced cores: it enumerates only the domain
+class and checks the codomain by its membership predicate and its count.
 """
 
 from __future__ import annotations
@@ -47,11 +46,6 @@ class BijectionTrace:
 
 
 Steps = list[TraceStep] | None
-
-
-def _trace(input_partition: Partition, output: Partition, steps: list[TraceStep]) -> BijectionTrace:
-    full = [TraceStep("input", input_partition), *steps, TraceStep("output", output)]
-    return BijectionTrace(input_partition, output, tuple(full))
 
 
 def _canonical(pairs: list[Pair]) -> Partition:
@@ -222,72 +216,58 @@ def _dp_to_dpk_core(p: int, k: int, partition: Partition, steps: Steps = None) -
 
 
 # ---------------------------------------------------------------------------
-# Public traced maps
+# The traced runner and the public maps
 # ---------------------------------------------------------------------------
 
 
-def _require_member(family: str, params, partition: Partition) -> None:
-    # Building the predicate validates params, so the empty partition
-    # cannot slip past a bad cell.
-    member = families.membership(family, params)
+def _require(member: Callable[[Partition], bool], ref: ClassRef, partition: Partition) -> None:
+    family, params = ref
     if not partition.is_empty() and not member(partition):
-        raise DomainError(
-            f"partition {format_partition(partition)} is not in the "
-            f"{family}{dict(params or {})} class"
-        )
+        raise DomainError(f"partition {format_partition(partition)} is not in the "
+                          f"{family}{params} class")
 
 
-def _traced(domain: ClassRef, codomain: ClassRef, partition: Partition,
-            core: Callable[..., Partition], *args: int) -> BijectionTrace:
-    """Check the input against the domain class, run the core with a steps
-    list, and check its image against the codomain class."""
-    _require_member(*domain, partition)
+def trace(name: str, cell: Cell, partition: Partition, inverse: bool = False) -> BijectionTrace:
+    """Run one direction of the map ``name`` on ``partition`` and trace it.
+
+    Building both class predicates validates the cell before the core runs.
+    A nonempty input must lie in the source class and a nonempty image in
+    the target class.  Unless the map is bare, ``input`` and ``output``
+    steps frame the core's steps."""
+    entry = get_bijection(name, cell)
+    source, target = entry.classes(cell)
+    core = entry.forward
+    if inverse:
+        source, target, core = target, source, entry.inverse
+    in_source, in_target = families.membership(*source), families.membership(*target)
+    _require(in_source, source, partition)
     steps: list[TraceStep] = []
-    output = core(*args, partition, steps)
-    _require_member(*codomain, output)
-    return _trace(partition, output, steps)
+    output = core(cell, partition, steps)
+    _require(in_target, target, output)
+    framed = (TraceStep("input", partition), *steps, TraceStep("output", output))
+    return BijectionTrace(partition, output, () if entry.bare else framed)
 
 
 def genr_f_to_d(p: int, k: int, r: int, partition: Partition) -> BijectionTrace:
     """Map a singleton-residue-class partition (f side) to a heavy-part
     partition (d side): parts divisible by k become (part/k)^(k*mult); the
     remaining parts pass through the inverse splitting map jointly."""
-    f_side, d_side = BIJECTIONS["genr"].classes({"p": p, "k": k, "r": r})
-    return _traced(f_side, d_side, partition, _genr_f_to_d_core, k)
+    return trace("genr", {"p": p, "k": k, "r": r}, partition)
 
 
 def genr_d_to_f(p: int, k: int, r: int, partition: Partition) -> BijectionTrace:
     """Inverse of genr_f_to_d: a part x with multiplicity s becomes
     (k*x)^(s // k) together with the split image of x^(s mod k)."""
-    f_side, d_side = BIJECTIONS["genr"].classes({"p": p, "k": k, "r": r})
-    return _traced(d_side, f_side, partition, _genr_d_to_f_core, k)
-
-
-def _var0_sides(r: int) -> tuple[str, str]:
-    """The (f side, d side) classes that var0 pairs for r."""
-    if r not in (0, 1):
-        raise DomainError(f"r must be 0 or 1, got {r}")
-    return ("f0", "d_e") if r == 0 else ("f2", "d_o")
+    return trace("genr", {"p": p, "k": k, "r": r}, partition, inverse=True)
 
 
 def var0_map(direction: str, r: int, partition: Partition) -> BijectionTrace:
     """Specialization of the general map with p = k = 2: r = 0 pairs the
     singleton-multiples-of-4 class with the repeated-even-part class, r = 1
     the 2-mod-4 class with the repeated-odd-part class."""
-    _var0_sides(r)
-    if direction == "forward":
-        return genr_f_to_d(2, 2, r, partition)
-    if direction == "inverse":
-        return genr_d_to_f(2, 2, r, partition)
-    raise DomainError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-
-
-def _dpk_classes(p: int, k: int) -> tuple[ClassRef, ClassRef]:
-    """The cell's (heavy, single) classes; p and k are checked here because
-    d_k(p*k) accepts p = 1 or k = 1."""
-    if p < 2 or k < 2:
-        raise DomainError(f"need p >= 2 and k >= 2, got p={p}, k={k}")
-    return BIJECTIONS["dpk"].classes({"p": p, "k": k})
+    if direction not in ("forward", "inverse"):
+        raise DomainError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+    return trace("var0", {"r": r}, partition, inverse=direction == "inverse")
 
 
 def dpk_to_dp(p: int, k: int, partition: Partition) -> BijectionTrace:
@@ -300,20 +280,18 @@ def dpk_to_dp(p: int, k: int, partition: Partition) -> BijectionTrace:
     results are never divisible by k), apply the inverse splitting map in
     base k, scale back by p, and take the union.
     """
-    heavy, single = _dpk_classes(p, k)
-    return _traced(heavy, single, partition, _dpk_to_dp_core, p, k)
+    return trace("dpk", {"p": p, "k": k}, partition)
 
 
 def dp_to_dpk(p: int, k: int, partition: Partition) -> BijectionTrace:
     """Inverse of dpk_to_dp: unconvert the heavy multiple of p, merge the
     light multiples of p through the splitting map in base k, then apply the
     inverse splitting map in base p*k to everything else."""
-    heavy, single = _dpk_classes(p, k)
-    return _traced(single, heavy, partition, _dp_to_dpk_core, p, k)
+    return trace("dpk", {"p": p, "k": k}, partition, inverse=True)
 
 
 # ---------------------------------------------------------------------------
-# The bijection table: one entry per map, read by the sweep and the CLI
+# The bijection table: one entry per map, read by trace and the sweep
 # ---------------------------------------------------------------------------
 
 Cell = dict[str, int]
@@ -323,44 +301,42 @@ ClassRef = tuple[str, Cell]
 @dataclass(frozen=True)
 class Bijection:
     """One map: its cell's parameter names, a cell's (domain, codomain)
-    classes, both directions traced as functions of (cell, partition), and
-    both as untraced cores of (cell, partition) that return the image."""
+    classes and both directions as cores of (cell, partition, steps=None)
+    that return the image.  A bare map's trace holds no steps at all."""
 
     params: tuple[str, ...]
     classes: Callable[[Cell], tuple[ClassRef, ClassRef]]
-    forward: Callable[[Cell, Partition], BijectionTrace]
-    inverse: Callable[[Cell, Partition], BijectionTrace]
-    forward_core: Callable[[Cell, Partition], Partition]
-    inverse_core: Callable[[Cell, Partition], Partition]
+    forward: Callable[..., Partition]
+    inverse: Callable[..., Partition]
+    bare: bool = False
 
 
-# The entries look the maps and cores up as module globals on every call,
-# so a replaced module attribute (a test's fault, a tracer's wrapper) is seen.
+def _var0_sides(r: int) -> tuple[str, str]:
+    """The (f side, d side) classes that var0 pairs for r."""
+    if r not in (0, 1):
+        raise DomainError(f"r must be 0 or 1, got {r}")
+    return ("f0", "d_e") if r == 0 else ("f2", "d_o")
+
+
+# The entries look the cores up as module globals on every call, so a
+# replaced module attribute (a test's fault, a tracer's wrapper) is seen.
 BIJECTIONS: dict[str, Bijection] = {
     "glaisher": Bijection(
         ("t",), lambda c: (("glaisher_left", c), ("glaisher_right", c)),
-        lambda c, x: BijectionTrace(x, glaisher(c["t"], x), ()),
-        lambda c, y: BijectionTrace(y, glaisher_inv(c["t"], y), ()),
-        lambda c, x: glaisher(c["t"], x),
-        lambda c, y: glaisher_inv(c["t"], y)),
+        lambda c, x, steps=None: glaisher(c["t"], x),
+        lambda c, y, steps=None: glaisher_inv(c["t"], y), bare=True),
     "genr": Bijection(
         ("p", "k", "r"), lambda c: (("f_pkr", c), ("d_pkr", c)),
-        lambda c, x: genr_f_to_d(c["p"], c["k"], c["r"], x),
-        lambda c, y: genr_d_to_f(c["p"], c["k"], c["r"], y),
-        lambda c, x: _genr_f_to_d_core(c["k"], x),
-        lambda c, y: _genr_d_to_f_core(c["k"], y)),
+        lambda c, x, steps=None: _genr_f_to_d_core(c["k"], x, steps),
+        lambda c, y, steps=None: _genr_d_to_f_core(c["k"], y, steps)),
     "dpk": Bijection(
         ("p", "k"), lambda c: (("d_k", {"k": c["p"] * c["k"]}), ("d_pkr", {**c, "r": 0})),
-        lambda c, x: dpk_to_dp(c["p"], c["k"], x),
-        lambda c, y: dp_to_dpk(c["p"], c["k"], y),
-        lambda c, x: _dpk_to_dp_core(c["p"], c["k"], x),
-        lambda c, y: _dp_to_dpk_core(c["p"], c["k"], y)),
+        lambda c, x, steps=None: _dpk_to_dp_core(c["p"], c["k"], x, steps),
+        lambda c, y, steps=None: _dp_to_dpk_core(c["p"], c["k"], y, steps)),
     "var0": Bijection(
         ("r",), lambda c: tuple((side, {}) for side in _var0_sides(c["r"])),
-        lambda c, x: var0_map("forward", c["r"], x),
-        lambda c, y: var0_map("inverse", c["r"], y),
-        lambda c, x: _genr_f_to_d_core(2, x),
-        lambda c, y: _genr_d_to_f_core(2, y)),
+        lambda c, x, steps=None: _genr_f_to_d_core(2, x, steps),
+        lambda c, y, steps=None: _genr_d_to_f_core(2, y, steps)),
 }
 
 
@@ -401,7 +377,7 @@ def exhaustive_cell_check(name: str, params: Cell, n: int) -> list[str]:
     failures: list[str] = []
     seen: set[Partition] = set()
     for source in families.enumerate_class(domain_family, n, domain_params):
-        image = entry.forward_core(params, source)
+        image = entry.forward(params, source)
         if sum([p * m for p, m in image.pairs]) != n:
             failures.append(f"weight changed: {source} -> {image}")
             continue
@@ -412,7 +388,7 @@ def exhaustive_cell_check(name: str, params: Cell, n: int) -> list[str]:
             failures.append(f"not injective at {source} -> {image}")
             continue
         seen.add(image)
-        back = entry.inverse_core(params, image)
+        back = entry.inverse(params, image)
         if back != source:
             failures.append(f"round trip failed: {source} -> {image} -> {back}")
     if len(seen) != size:

@@ -121,10 +121,10 @@ def _cmd_map(args: argparse.Namespace) -> int:
     partition = parse_partition(args.partition)
     params = _collect_params(args)
     try:
-        entry = bijections.get_bijection(args.bijection, params)
+        bijections.get_bijection(args.bijection, params)
     except DomainError as exc:
         raise _UsageError(str(exc)) from exc
-    trace = (entry.inverse if args.inverse else entry.forward)(params, partition)
+    trace = bijections.trace(args.bijection, params, partition, args.inverse)
     if args.format == "json":
         payload = {
             "input": format_partition(trace.input),

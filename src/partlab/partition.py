@@ -54,14 +54,6 @@ class Partition:
         self.weight = weight
         return self
 
-    def union(self, other: "Partition") -> "Partition":
-        """Multiset union: multiplicities add, weight adds."""
-        merged = dict(self.pairs)
-        for p, m in other.pairs:
-            merged[p] = merged.get(p, 0) + m
-        canon = tuple(sorted(merged.items(), reverse=True))
-        return Partition._raw(canon, self.weight + other.weight)
-
     def is_empty(self) -> bool:
         return not self.pairs
 

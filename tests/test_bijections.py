@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from partlab import acceptance, families
+from partlab import acceptance, cli, families
 from partlab import bijections as bj
 from partlab.errors import DomainError
 from partlab.partition import Partition, parse_partition
@@ -134,6 +134,24 @@ def test_dpk_domain_checked():
         bj.dp_to_dpk(3, 4, P("5,4"))
     with pytest.raises(DomainError):
         bj.dpk_to_dp(1, 4, P("1^4"))
+
+
+@pytest.mark.parametrize("p,k,message", [(1, 2, "need p >= 2, got 1"), (2, 1, "need k >= 2, got 1")])
+def test_dpk_cell_checked_before_a_core_runs(p, k, message, monkeypatch, capsys):
+    # d_k(p*k) accepts p = 1 or k = 1; only d_pkr(p, k, 0) rejects the
+    # cell, so the runner must build both predicates before a core runs.
+    def no_core(*args):
+        raise AssertionError("a core ran on a malformed cell")
+
+    monkeypatch.setattr(bj, "_dpk_to_dp_core", no_core)
+    monkeypatch.setattr(bj, "_dp_to_dpk_core", no_core)
+    for source in (P("1^4"), Partition()):
+        for forward_or_back in (bj.dpk_to_dp, bj.dp_to_dpk):
+            with pytest.raises(DomainError, match=message):
+                forward_or_back(p, k, source)
+    for inverse in ([], ["--inverse"]):
+        assert cli.main(["map", "dpk", "--p", str(p), "--k", str(k), *inverse, "1^4"]) == 4
+        assert capsys.readouterr().err == f"domain error: {message}\n"
 
 
 def test_lemma_divisibility():
@@ -289,8 +307,9 @@ def test_sweep_reports_wrong_genr_inverse(monkeypatch):
 def test_sweep_reports_core_image_outside_codomain(name, params, core, source, monkeypatch):
     # The sweep runs the cores, which check no class, so a faulty image
     # reaches the sweep's own codomain check instead of raising DomainError.
+    # The table passes (..., partition, steps) positionally.
     original = getattr(bj, core)
-    monkeypatch.setattr(bj, core, lambda *args: args[-1] if args[-1] == P(source) else original(*args))
+    monkeypatch.setattr(bj, core, lambda *args: args[-2] if args[-2] == P(source) else original(*args))
     failures = bj.exhaustive_cell_check(name, params, 4)
     assert f"image outside the target class: {source} -> {source}" in failures
     assert failures[-1].startswith("not surjective at n=4")
@@ -385,13 +404,13 @@ def test_large_members_round_trip(name, direction, data):
     entry = bj.BIJECTIONS[name]
     cell = data.draw(st.sampled_from([c for n, c in acceptance._bijection_cells() if n == name]))
     source_class, target_class = entry.classes(cell)
-    there, back = entry.forward, entry.inverse
-    if direction == "inverse":
-        source_class, target_class, there, back = target_class, source_class, back, there
+    inverse = direction == "inverse"
+    if inverse:
+        source_class, target_class = target_class, source_class
     source = data.draw(MEMBERS[source_class[0]](source_class[1]))
     assert LOW <= source.weight <= HIGH
     assert families.membership(*source_class)(source)
-    image = there(cell, source).output
+    image = bj.trace(name, cell, source, inverse).output
     assert image.weight == source.weight
     assert families.membership(*target_class)(image)
-    assert back(cell, image).output == source
+    assert bj.trace(name, cell, image, not inverse).output == source

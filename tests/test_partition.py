@@ -40,42 +40,12 @@ def test_invalid_input_rejected(bad):
         Partition(bad)
 
 
-def test_union_simple():
-    a = Partition([(2, 2)])
-    b = Partition([(2, 1), (1, 1)])
-    assert a.union(b).pairs == ((2, 3), (1, 1))
-
-
-def test_union_disjoint_blocks():
-    a = parse_partition("21^8")
-    b = parse_partition("13^10,10^5,6^2,4^5,1^11")
-    assert format_partition(a.union(b)) == "21^8,13^10,10^5,6^2,4^5,1^11"
-
-
-def test_union_identity_element():
-    x = parse_partition("9^2,4")
-    assert x.union(Partition()) == x
-
-
 @given(pair_lists)
 def test_canonicalization_idempotent(pairs):
     once = Partition(pairs)
     again = Partition(once.pairs)
     assert once == again
     assert once.weight == again.weight
-
-
-@given(pair_lists, pair_lists)
-def test_union_commutative_and_additive(xs, ys):
-    a, b = Partition(xs), Partition(ys)
-    assert a.union(b) == b.union(a)
-    assert a.union(b).weight == a.weight + b.weight
-
-
-@given(pair_lists, pair_lists, pair_lists)
-def test_union_associative(xs, ys, zs):
-    a, b, c = Partition(xs), Partition(ys), Partition(zs)
-    assert a.union(b).union(c) == a.union(b.union(c))
 
 
 @given(pair_lists)
