@@ -136,7 +136,8 @@ def test_dpk_domain_checked():
         bj.dpk_to_dp(1, 4, P("1^4"))
 
 
-@pytest.mark.parametrize("p,k,message", [(1, 2, "need p >= 2, got 1"), (2, 1, "need k >= 2, got 1")])
+@pytest.mark.parametrize("p,k,message", [(1, 2, "need p >= 2, got 1"), (2, 1, "need k >= 2, got 1")],
+                         ids=["p=1", "k=1"])
 def test_dpk_cell_checked_before_a_core_runs(p, k, message, monkeypatch, capsys):
     # d_k(p*k) accepts p = 1 or k = 1; only d_pkr(p, k, 0) rejects the
     # cell, so the runner must build both predicates before a core runs.
