@@ -1,15 +1,15 @@
 """Named counting families, each evaluable by exhaustive enumeration and,
 where a closed form exists, by coefficient extraction from a series.
 
-Family identifiers are stable strings used by the CLI and reports.  A "class"
-family counts partitions satisfying a structural predicate, a "stat" family
-totals a statistic over a constrained enumeration, and a "signed"/derived
-family is an integer combination of other families.
+Family identifiers are stable strings used by the CLI and reports.  Every
+family is one fold.  A "class" family counts partitions satisfying a
+structural predicate, a "stat" family totals a statistic over a constrained
+enumeration, and a signed count (c, b, g_r, g_alpha) is a stat valued +-1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from . import enumeration, numtheory, qseries
@@ -28,7 +28,9 @@ PairSeq = tuple[Pair, ...]
 # A fold is (init, step, value), see enumeration.Fold.  A class fold's value
 # is 1 or 0, and its step returns None for a pair that rules the partition
 # out; most class states are 0/1 for "the one marked part value has been
-# seen".  A statistic's state is its running total, and it never dies.
+# seen".  A statistic's state is its running total, and it never dies.  The
+# parity-split folds take (odd, even) weights: (1, 0) or (0, 1) for a piece,
+# (1, -1) for a signed count, (1, 1) for a sum; a zero weight rules out.
 
 
 def _identity(state: int) -> int:
@@ -39,9 +41,9 @@ def _fold_all() -> Fold:
     return 1, lambda state, part, mult: 1, _identity
 
 
-def _fold_singleton_even_set_parity(parity: int) -> Fold:
-    # The set of even part values is a singleton, and the number of parts
-    # counted with multiplicity has the given parity.  State: 2 per even
+def _fold_singleton_even_set(odd: int, even: int) -> Fold:
+    # The set of even part values is a singleton, weighed by the parity of
+    # the number of parts counted with multiplicity.  State: 2 per even
     # value seen plus the parity of the part count so far.
     def step(state: int, part: int, mult: int) -> int | None:
         if part % 2 == 0:
@@ -50,7 +52,7 @@ def _fold_singleton_even_set_parity(parity: int) -> Fold:
             state += 2
         return state ^ (mult & 1)
 
-    return 0, step, lambda state: int(state == 2 + parity)
+    return 0, step, lambda state: (0, 0, even, odd)[state]
 
 
 def _fold_o_p(p: int, mult_parity: int) -> Fold:
@@ -98,19 +100,19 @@ def _fold_singleton_residue(modulus: int, residue: int) -> Fold:
     return 0, step, _identity
 
 
-def _fold_g_alpha(alpha: int, k: int, p: int, parity: int) -> Fold:
+def _fold_g_alpha(alpha: int, k: int, p: int, odd: int, even: int) -> Fold:
     # Exactly one part value appears >= alpha times and its multiplicity m
     # satisfies (m - alpha) mod p < k; all other values appear at most k-1
-    # times; the heavy value has the given parity.  A multiplicity in
-    # [k, alpha) dies although a larger one may qualify.  The repeated-part
-    # classes are the k = 2 cases: c_o/c_e at alpha = 2, p = 1, and g_r at
-    # alpha = p - r, where (m - alpha) mod p < 2 puts m in {-r, -r+1} mod p.
+    # times; the state is the weight of the heavy value's parity.  A
+    # multiplicity in [k, alpha) dies although a larger one may qualify.  The
+    # repeated-part counts are the k = 2 cases: c at alpha = 2, p = 1, and g_r
+    # at alpha = p - r, where (m - alpha) mod p < 2 puts m in {-r, -r+1} mod p.
     def step(seen: int, part: int, mult: int) -> int | None:
         if mult < k:
             return seen
-        if seen or mult < alpha or part % 2 != parity or (mult - alpha) % p >= k:
+        if seen or mult < alpha or (mult - alpha) % p >= k:
             return None
-        return 1
+        return (odd if part % 2 else even) or None
 
     return 0, step, _identity
 
@@ -137,13 +139,12 @@ def _fold_parts_in_residue(p: int, r: int) -> Fold:
 @dataclass(frozen=True)
 class FamilySpec:
     id: str
-    kind: str  # "class" | "stat" | "derived"
+    kind: str  # "class" (value 0/1) | "stat" (any int; a signed count is +-1)
     param_names: tuple[str, ...]
     description: str
+    make_fold: Callable[..., Fold]
     validate: Callable[[dict], None] | None = None
     enum_kind: Callable[[dict], EnumKind] | None = None
-    make_fold: Callable[..., Fold] | None = None
-    combine: tuple[tuple[int, str], ...] = field(default_factory=tuple)
 
 
 def _check(cond: bool, msg: str) -> None:
@@ -221,57 +222,57 @@ _register(FamilySpec(
 _register(FamilySpec(
     "c_o", "class", (),
     "exactly one part repeated, that part odd, all other parts distinct",
-    make_fold=lambda: _fold_g_alpha(2, 2, 1, 1),
+    make_fold=lambda: _fold_g_alpha(2, 2, 1, 1, 0),
 ))
 _register(FamilySpec(
     "c_e", "class", (),
     "exactly one part repeated, that part even, all other parts distinct",
-    make_fold=lambda: _fold_g_alpha(2, 2, 1, 0),
+    make_fold=lambda: _fold_g_alpha(2, 2, 1, 0, 1),
 ))
 _register(FamilySpec(
-    "c", "derived", (),
+    "c", "stat", (),
     "signed count: one odd repeated part minus one even repeated part",
-    combine=((1, "c_o"), (-1, "c_e")),
+    make_fold=lambda: _fold_g_alpha(2, 2, 1, 1, -1),
 ))
 _register(FamilySpec(
     "b_o", "class", (),
     "odd number of parts, the set of even part values is a singleton",
-    make_fold=lambda: _fold_singleton_even_set_parity(1),
+    make_fold=lambda: _fold_singleton_even_set(1, 0),
 ))
 _register(FamilySpec(
     "b_e", "class", (),
     "even number of parts, the set of even part values is a singleton",
-    make_fold=lambda: _fold_singleton_even_set_parity(0),
+    make_fold=lambda: _fold_singleton_even_set(0, 1),
 ))
 _register(FamilySpec(
-    "b", "derived", (),
+    "b", "stat", (),
     "signed count: odd-length minus even-length singleton-even-set partitions",
-    combine=((1, "b_o"), (-1, "b_e")),
+    make_fold=lambda: _fold_singleton_even_set(1, -1),
 ))
 _register(FamilySpec(
-    "b_prime", "derived", (),
+    "b_prime", "class", (),
     "partitions whose set of even part values is a singleton",
-    combine=((1, "b_o"), (1, "b_e")),
+    make_fold=lambda: _fold_singleton_even_set(1, 1),
 ))
 _register(FamilySpec(
     "g_r_odd", "class", ("p", "r"),
     "exactly one repeated part, odd, with multiplicity >= p-r and congruent "
     "to -r or -r+1 mod p; other parts distinct",
     validate=_validate_a_r,
-    make_fold=lambda p, r: _fold_g_alpha(p - r, 2, p, 1),
+    make_fold=lambda p, r: _fold_g_alpha(p - r, 2, p, 1, 0),
 ))
 _register(FamilySpec(
     "g_r_even", "class", ("p", "r"),
     "exactly one repeated part, even, with multiplicity >= p-r and congruent "
     "to -r or -r+1 mod p; other parts distinct",
     validate=_validate_a_r,
-    make_fold=lambda p, r: _fold_g_alpha(p - r, 2, p, 0),
+    make_fold=lambda p, r: _fold_g_alpha(p - r, 2, p, 0, 1),
 ))
 _register(FamilySpec(
-    "g_r", "derived", ("p", "r"),
+    "g_r", "stat", ("p", "r"),
     "signed repeated-part count: odd piece minus even piece",
     validate=_validate_a_r,
-    combine=((1, "g_r_odd"), (-1, "g_r_even")),
+    make_fold=lambda p, r: _fold_g_alpha(p - r, 2, p, 1, -1),
 ))
 _register(FamilySpec(
     "o_p", "class", ("p",),
@@ -342,20 +343,20 @@ _register(FamilySpec(
     "one odd part value appears >= alpha times with multiplicity residue "
     "(m - alpha) mod p below k; all other values appear at most k-1 times",
     validate=_validate_g_alpha,
-    make_fold=lambda alpha, k, p: _fold_g_alpha(alpha, k, p, 1),
+    make_fold=lambda alpha, k, p: _fold_g_alpha(alpha, k, p, 1, 0),
 ))
 _register(FamilySpec(
     "g_alpha_even", "class", ("alpha", "k", "p"),
     "one even part value appears >= alpha times with multiplicity residue "
     "(m - alpha) mod p below k; all other values appear at most k-1 times",
     validate=_validate_g_alpha,
-    make_fold=lambda alpha, k, p: _fold_g_alpha(alpha, k, p, 0),
+    make_fold=lambda alpha, k, p: _fold_g_alpha(alpha, k, p, 0, 1),
 ))
 _register(FamilySpec(
-    "g_alpha", "derived", ("alpha", "k", "p"),
+    "g_alpha", "stat", ("alpha", "k", "p"),
     "signed heavy-part count: odd piece minus even piece",
     validate=_validate_g_alpha,
-    combine=((1, "g_alpha_odd"), (-1, "g_alpha_even")),
+    make_fold=lambda alpha, k, p: _fold_g_alpha(alpha, k, p, 1, -1),
 ))
 _register(FamilySpec(
     "glaisher_left", "class", ("t",),
@@ -422,23 +423,16 @@ def _enum_kind(spec: FamilySpec, params: dict[str, int]) -> EnumKind:
 
 def _enum_table(spec: FamilySpec, params: dict[str, int], n: int) -> tuple[int, ...]:
     """The family's values at 0..m for some m >= n, memoized per (family,
-    params); a derived family combines the tables of its pieces.  A first
-    request counts 0..n in one call.  A request past the memoized top counts
-    to at least twice that top (within the enumeration cap), so an ascending
-    sweep recounts a table a logarithmic number of times, not at every n."""
+    params).  A first request counts 0..n in one call; a request past the
+    memoized top counts to at least twice that top (within the enumeration
+    cap), so an ascending sweep recounts a table only logarithmically often."""
     key = (spec.id, _params_key(params))
     table = _enum_memo.get(key)
     if table is not None and len(table) <= n:
         n = max(n, min(2 * (len(table) - 1), enumeration.resolve_cap()))
     if table is None or len(table) <= n:
-        if spec.kind == "derived":
-            subs = [(coef, _enum_table(get_spec(sub), params if get_spec(sub).param_names else {}, n))
-                    for coef, sub in spec.combine]
-            table = tuple(sum(coef * values[i] for coef, values in subs)
-                          for i in range(min(len(values) for _, values in subs)))
-        else:
-            fold = spec.make_fold(*_spec_args(spec, params))
-            table = tuple(enumeration.pair_sequences(n, _enum_kind(spec, params), fold=fold))
+        fold = spec.make_fold(*_spec_args(spec, params))
+        table = tuple(enumeration.pair_sequences(n, _enum_kind(spec, params), fold=fold))
         _enum_memo[key] = table
     return table
 
@@ -588,8 +582,8 @@ def closed_form_cells() -> tuple[tuple[str, dict[str, int]], ...]:
             for r in range(p):
                 cells.append(("f_pkr", {"p": p, "k": k, "r": r}))
                 cells.append(("d_pkr", {"p": p, "k": k, "r": r}))
-    # The signed heavy-part series counts weighted representations when
-    # k > p (multiplicity residues overlap), so the grid stays at k <= p.
+    # The g_alpha series hold for k > p too, but the grid stays at k <= p:
+    # bench/golden.json and the bench contract tests pin these 212 cells.
     for p in (2, 3, 4, 5):
         for k in (2, 3, 4):
             if k > p:

@@ -245,9 +245,11 @@ CLOSED_FORMS: dict[str, Callable[..., Form | None]] = {
     **dict.fromkeys(("d_e", "f0"), lambda order: _f_pkr(order, 2, 2, 0)),
     **dict.fromkeys(("d_o", "f2"), lambda order: _f_pkr(order, 2, 2, 1)),
     **dict.fromkeys(("f_pkr", "d_pkr"), _f_pkr),
-    "g_alpha": lambda order, alpha, k, p: ((k, k), lambert(alpha, p, -1, order)),
-    "g_alpha_odd": lambda order, alpha, k, p: ((k, k), _heavy_parity(order, alpha, p, 1)),
-    "g_alpha_even": lambda order, alpha, k, p: ((k, k), _heavy_parity(order, alpha, p, 0)),
+    # A heavy value j leaves q^(alpha j)/(1 - q^(pj)) past its bounded factor
+    # (1 - q^(kj))/(1 - q^j); for k > p every m >= alpha counts, so p becomes k.
+    "g_alpha": lambda order, alpha, k, p: ((k, k), lambert(alpha, max(p, k), -1, order)),
+    "g_alpha_odd": lambda order, alpha, k, p: ((k, k), _heavy_parity(order, alpha, max(p, k), 1)),
+    "g_alpha_even": lambda order, alpha, k, p: ((k, k), _heavy_parity(order, alpha, max(p, k), 0)),
 }
 
 

@@ -72,7 +72,8 @@ def test_every_series_read_builds_once(monkeypatch):
     assert builds == [family for family, _, _ in reads]
 
 
-@pytest.mark.parametrize("family,family_kind", [("d_e", "class"), ("a", "stat")])
+@pytest.mark.parametrize("family,family_kind", [
+    ("d_e", "class"), ("a", "stat"), ("c", "stat"), ("b_prime", "class")])
 def test_fold_count_is_one_int_per_weight(family, family_kind):
     # The tracer counts the rows of a counting call as
     # enumeration.pair_sequences.items, so a generator or list here would

@@ -110,16 +110,32 @@ def test_oracle_series_agreement_deep(monkeypatch):
         assert d_e[n] == recurrence_d_e(n) == series[n], n
 
 
+# Each signed count and each sum is one fold with a weight per parity; its
+# odd and even pieces are the same fold with weights (1, 0) and (0, 1).
+def _signed_cells():
+    """(signed, odd, even, params, heavy): heavy is the (alpha, k, p) of the
+    cell's heavy-part fold, None for b."""
+    yield "c", "c_o", "c_e", {}, (2, 2, 1)
+    yield "b", "b_o", "b_e", {}, None
+    for family, params in closed_form_cells():
+        if family == "g_r":
+            heavy = (params["p"] - params["r"], 2, params["p"])
+            yield "g_r", "g_r_odd", "g_r_even", params, heavy
+    for k in (1, 2, 3, 4):
+        for p in (1, 2, 3, 4):
+            for alpha in (k, k + 1, k + 2):
+                cell = {"alpha": alpha, "k": k, "p": p}
+                yield "g_alpha", "g_alpha_odd", "g_alpha_even", cell, (alpha, k, p)
+
+
 def test_signed_families_are_piece_differences():
-    for n in range(21):
-        assert count_enum("c", n) == count_enum("c_o", n) - count_enum("c_e", n)
-        assert count_enum("b", n) == count_enum("b_o", n) - count_enum("b_e", n)
-        cell = {"p": 3, "r": 1}
-        assert count_enum("g_r", n, cell) == count_enum("g_r_odd", n, cell) - count_enum("g_r_even", n, cell)
-        gcell = {"alpha": 3, "k": 2, "p": 3}
-        assert count_enum("g_alpha", n, gcell) == (
-            count_enum("g_alpha_odd", n, gcell) - count_enum("g_alpha_even", n, gcell)
-        )
+    cells = list(_signed_cells())
+    assert len(cells) == 2 + 10 + 48
+    assert sum(heavy[1] > heavy[2] for *_, heavy in cells[2:]) == 18
+    for signed, odd, even, params, _ in cells:
+        values = enum_values(signed, 20, params)
+        odds, evens = enum_values(odd, 20, params), enum_values(even, 20, params)
+        assert values == tuple(o - e for o, e in zip(odds, evens)), (signed, params)
 
 
 def test_piece_sums():
@@ -129,6 +145,13 @@ def test_piece_sums():
                 count_enum("o_p_odd", n, {"p": p}) + count_enum("o_p_even", n, {"p": p})
             )
         assert count_enum("b_prime", n) == count_enum("b_o", n) + count_enum("b_e", n)
+    for _, odd, even, params, heavy in _signed_cells():
+        if heavy is None:
+            continue
+        # The (1, 1) weighting of a heavy-part fold counts either piece.
+        both = enumeration.pair_sequences(20, fold=families._fold_g_alpha(*heavy, 1, 1))
+        odds, evens = enum_values(odd, 20, params), enum_values(even, 20, params)
+        assert both == tuple(o + e for o, e in zip(odds, evens)), (odd, params)
 
 
 def test_glaisher_class_counts_agree():
@@ -202,15 +225,19 @@ def test_membership_and_class_enumeration():
     assert not left(parse_partition("2^3"))
 
 
-def test_heavy_part_series_diverges_when_k_exceeds_p():
-    # With k > p the multiplicity residues overlap and the closed form counts
-    # weighted representations, so it is excluded from the default grid; the
-    # first divergence for (alpha, k, p) = (3, 3, 2) sits at n = 5, where the
-    # series counts 1^5 twice (multiplicity 5 = 3+0+2 = 3+2+0).
+def test_heavy_part_series_agrees_when_k_exceeds_p():
+    # With k > p every multiplicity m >= alpha qualifies, so a heavy value j
+    # contributes q^(alpha j)/(1 - q^(k j)) and the sum steps by max(p, k).
+    # (alpha, k, p) = (3, 3, 2) has two members at n = 5, 1^5 and 2,1^3; a
+    # sum stepping by p counts 1^5 twice (multiplicity 5 = 3+0+2 = 3+2+0).
     cell = {"alpha": 3, "k": 3, "p": 2}
-    series = families.series_for("g_alpha_odd", cell)
-    mismatches = [n for n in range(21) if count_enum("g_alpha_odd", n, cell) != series.coeffs[n]]
-    assert mismatches and mismatches[0] == 5
+    assert count_enum("g_alpha_odd", 5, cell) == count_series("g_alpha_odd", 5, cell) == 2
+    cells = [{"alpha": alpha, "k": k, "p": p}
+             for p in (1, 2, 3, 4) for k in range(p + 1, 6) for alpha in (k, k + 1, k + 2)]
+    assert len(cells) == 30
+    for cell in cells:
+        for family in ("g_alpha", "g_alpha_odd", "g_alpha_even"):
+            assert enum_values(family, 30, cell) == series_for(family, cell, 30).coeffs, (family, cell)
 
 
 def test_heavy_multiplicity_band_dies_but_larger_multiplicity_qualifies():

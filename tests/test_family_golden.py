@@ -11,7 +11,7 @@ replaced; do not re-freeze it to make a changed program pass.
 import json
 from pathlib import Path
 
-from partlab import families
+from partlab import enumeration, families
 
 GOLDEN = Path(__file__).with_name("golden_families.json")
 
@@ -31,8 +31,36 @@ def test_fold_transfer_matches_per_partition_fold():
     rows = json.loads(GOLDEN.read_text())
     cells = [(family, params) for family, params, _ in rows
              if families.get_spec(family).kind == "class"]
-    assert len(cells) == 196
+    assert len(cells) == 197
     for family, params in cells:
         values = families.enum_values(family, 30, params)
         for n in range(31):
             assert values[n] == len(families.enumerate_class(family, n, params)), (family, params, n)
+
+
+def _fold_value(fold, pairs):
+    init, step, value = fold
+    state = init
+    for part, mult in pairs:
+        state = step(state, part, mult)
+        if state is None:
+            return 0
+    return value(state)
+
+
+def test_stat_fold_transfer_matches_per_partition_sum():
+    # A statistic (a signed count among them) is counted over fold states;
+    # summing the same fold's value over every partition must agree.
+    rows = json.loads(GOLDEN.read_text())
+    cells = [(family, params) for family, params, _ in rows
+             if families.get_spec(family).kind == "stat"]
+    assert {family for family, _ in cells} == {"a", "a_r", "a_np", "c", "b", "g_r", "g_alpha"}
+    assert len(cells) == 54
+    for family, params in cells:
+        spec = families.get_spec(family)
+        fold = spec.make_fold(*families._spec_args(spec, params))
+        kind = families._enum_kind(spec, params)
+        values = families.enum_values(family, 20, params)
+        for n in range(21):
+            total = sum(_fold_value(fold, partition.pairs) for partition in enumeration.generate(n, kind))
+            assert values[n] == total, (family, params, n)
