@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: ``table`` (family values over a range), ``series`` (closed-form
-coefficient dump), ``verify`` (identity checks), ``map`` (bijection traces)
-and ``selftest`` (the full acceptance suite).
+Subcommands: ``table`` (family values over a range, by either engine),
+``verify`` (identity checks), ``map`` (bijection traces) and ``selftest``
+(the full acceptance suite).
 
 Exit codes: 0 success, 1 verification/selftest failure, 2 usage error,
 3 resource limit, 4 domain violation.
@@ -15,7 +15,7 @@ import json
 import sys
 from typing import Sequence
 
-from . import bijections, families, identities, qseries
+from . import bijections, families, identities
 from .errors import DomainError, PartlabError, ResourceLimitError
 from .partition import format_partition, parse_partition
 
@@ -31,33 +31,30 @@ def _collect_params(args: argparse.Namespace) -> dict[str, int]:
             if getattr(args, name, None) is not None}
 
 
+class _UsageError(ValueError):
+    """Bad command arguments (exit code 2)."""
+
+
 def _parse_range(tokens: list[str]) -> tuple[int, int]:
-    if len(tokens) == 1 and ".." in tokens[0]:
-        lo, _, hi = tokens[0].partition("..")
-        return int(lo), int(hi)
-    if len(tokens) == 1:
-        n = int(tokens[0])
-        return n, n
-    if len(tokens) == 2:
-        return int(tokens[0]), int(tokens[1])
-    raise ValueError(f"expected N, N..M or two endpoints, got {tokens!r}")
+    ends = tokens[0].split("..") if len(tokens) == 1 else tokens
+    try:
+        lo, hi = map(int, ends * 2 if len(ends) == 1 else ends)
+    except ValueError:
+        raise _UsageError(f"expected N, N..M or two endpoints, got {tokens!r}") from None
+    return lo, hi
 
 
-def _emit_rows(rows: list[tuple[int, int]], fmt: str, value_name: str = "value") -> None:
+def _emit_rows(rows: list[tuple[int, int]], fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps([{"n": n, value_name: v} for n, v in rows]))
+        print(json.dumps([{"n": n, "value": v} for n, v in rows]))
     elif fmt == "pretty":
         width = max((len(str(n)) for n, _ in rows), default=1)
-        print(f"{'n':>{width}}  {value_name}")
+        print(f"{'n':>{width}}  value")
         for n, v in rows:
             print(f"{n:>{width}}  {v}")
     else:
         for n, v in rows:
             print(f"{n},{v}")
-
-
-class _UsageError(ValueError):
-    """Bad command arguments (exit code 2)."""
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -67,25 +64,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
         lo, hi = _parse_range(args.range)
         if lo < 0 or hi < lo:
             raise _UsageError(f"bad range {lo}..{hi}")
-        if args.engine == "series":
-            values = families.series_for(args.family, params, hi).coeffs
-        else:
-            values = families.enum_values(args.family, hi, params)
+        values = families.values(args.family, hi, params, args.engine)
         rows = [(n, values[n]) for n in range(lo, hi + 1)]
     except DomainError as exc:
         raise _UsageError(str(exc)) from exc
     _emit_rows(rows, args.format)
-    return EXIT_OK
-
-
-def _cmd_series(args: argparse.Namespace) -> int:
-    try:
-        params = _collect_params(args)
-        series = families.series_for(args.family, params, args.order)
-    except DomainError as exc:
-        raise _UsageError(str(exc)) from exc
-    rows = list(enumerate(series.coeffs))
-    _emit_rows(rows, args.format, value_name="coefficient")
     return EXIT_OK
 
 
@@ -170,13 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--engine", choices=("enum", "series"), default="enum")
     p_table.add_argument("--format", choices=("csv", "json", "pretty"), default="csv")
     p_table.set_defaults(func=_cmd_table)
-
-    p_series = sub.add_parser("series", help="dump closed-form coefficients as n,coefficient rows")
-    p_series.add_argument("family")
-    _add_param_flags(p_series)
-    p_series.add_argument("--order", type=int, default=qseries.DEFAULT_ORDER)
-    p_series.add_argument("--format", choices=("csv", "json", "pretty"), default="csv")
-    p_series.set_defaults(func=_cmd_series)
 
     p_verify = sub.add_parser("verify", help="check registered identities")
     p_verify.add_argument("identity", help="identity id (I1..I16, I15-swapped) or 'all'")

@@ -463,6 +463,14 @@ def series_for(family: str, params: Params | None = None, order: int | None = No
     return qseries.gf_family(family, norm, qseries.DEFAULT_ORDER if order is None else order)
 
 
+def values(family: str, n_max: int, params: Params | None, engine: str) -> tuple[int, ...]:
+    """The family's values at n = 0..n_max by ``engine``: "enum" reads
+    ``enum_values``, "series" the coefficients of ``series_for``."""
+    if engine == "enum":
+        return enum_values(family, n_max, params)
+    return series_for(family, params, n_max).coeffs
+
+
 def count_series(family: str, n: int, params: Params | None = None) -> int:
     """Value of the family at n read off its closed-form series."""
     if n < 0:

@@ -98,13 +98,6 @@ def format_params(params: Mapping[str, int], sep: str = ",") -> str:
 # The relation runner and the derived sequences
 # ---------------------------------------------------------------------------
 
-def _eval(fid: str, params: Mapping[str, int] | None, engine: str, n_max: int) -> tuple[int, ...]:
-    """The family's values at 0..n_max by the given engine."""
-    if engine == "enum":
-        return families.enum_values(fid, n_max, params)
-    return families.series_for(fid, params, n_max).coeffs
-
-
 def _run_relation(spec: IdentitySpec, cell: Params, n_max: int, engine: str) -> Counterexample | None:
     """First counterexample to a registry entry, or None.
 
@@ -116,7 +109,7 @@ def _run_relation(spec: IdentitySpec, cell: Params, n_max: int, engine: str) -> 
     modulus = spec.modulus or cell.get("p")
     for group in spec.sides(cell, engine):
         first, *others = [source(params, engine, n_max) if callable(source)
-                          else _eval(source, params, engine, n_max)
+                          else families.values(source, n_max, params, engine)
                           for source, params in group]
         if kind == "congruence":
             for n in range(cell["offset"], n_max + 1, modulus):
@@ -146,7 +139,7 @@ def _d_e_recurrence(params: Params | None, engine: str, n_max: int) -> tuple[int
 
 def _d_o_triangular_parity(params: Params | None, engine: str, n_max: int) -> tuple[int, ...]:
     """Triangular-shifted parity sum of d_o, read by the run's engine."""
-    d_o = _eval("d_o", None, engine, n_max).__getitem__
+    d_o = families.values("d_o", n_max, None, engine).__getitem__
     return tuple(families.triangular_parity(d_o, n) for n in range(n_max + 1))
 
 
@@ -158,14 +151,14 @@ def _divisor_parity(params: Params | None, engine: str, n_max: int) -> tuple[int
 
 def _heavy_parity_difference(params: Params, engine: str, n_max: int) -> tuple[int, ...]:
     """g_alpha_odd - g_alpha_even, both by series; neither outlives the call."""
-    odd, even = (families.series_for(fid, params, n_max).coeffs
+    odd, even = (families.values(fid, n_max, params, "series")
                  for fid in ("g_alpha_odd", "g_alpha_even"))
     return tuple(map(operator.sub, odd, even))
 
 
 def _by_series(fid: str) -> SequenceFn:
     """A side that reads the family by series whatever the run's engine."""
-    return lambda params, engine, n_max: _eval(fid, params, "series", n_max)
+    return lambda params, engine, n_max: families.values(fid, n_max, params, "series")
 
 
 # ---------------------------------------------------------------------------
@@ -431,28 +424,25 @@ def verify_cells(ids: Iterable[str] | None = None,
     return reports
 
 
-def _paired_outcomes(reports: Iterable[IdentityReport]) -> dict[tuple[tuple[str, int], ...], dict[str, bool]]:
-    """Per parameter cell, whether each orientation of the adjudicated pair holds."""
-    paired: dict[tuple[tuple[str, int], ...], dict[str, bool]] = {}
-    for report in reports:
-        if report.id in I15_PAIR:
-            paired.setdefault(report.params, {})[report.id] = report.holds
-    return paired
+def failures(reports: Iterable[IdentityReport]) -> list[str]:
+    """One line per failure: each failing report outside the adjudicated
+    pair, with its first counterexample, then each p at which not exactly
+    one orientation of the pair holds (so a lone orientation must hold)."""
+    lines = []
+    paired: dict[int, dict[str, bool]] = {}
+    for r in reports:
+        if r.id in I15_PAIR:
+            paired.setdefault(dict(r.params)["p"], {})[r.id] = r.holds
+        elif not r.holds:
+            ce = r.counterexample
+            lines.append(f"{r.id} {dict(r.params)} fails at n={ce.n}: lhs={ce.lhs} rhs={ce.rhs}")
+    return lines + [f"expected exactly one orientation to hold for p={p}"
+                    for p, holds in sorted(paired.items()) if sum(holds.values()) != 1]
 
 
 def overall_ok(reports: Iterable[IdentityReport]) -> bool:
-    """True when every report holds, with the adjudicated pair counting as
-    holding when exactly one orientation holds per parameter cell."""
-    reports = list(reports)
-    if not all(r.holds for r in reports if r.id not in I15_PAIR):
-        return False
-    for outcomes in _paired_outcomes(reports).values():
-        if len(outcomes) == 2:
-            if sum(outcomes.values()) != 1:
-                return False
-        elif not all(outcomes.values()):
-            return False
-    return True
+    """True when ``failures`` finds nothing."""
+    return not failures(reports)
 
 
 _VERDICTS = {(True, True): "both", (True, False): "printed",
@@ -463,11 +453,10 @@ def orientation_verdicts(reports: Iterable[IdentityReport]) -> dict[int, str]:
     """Which orientation of the proposition about the heavy-part parity
     pieces holds, per p with reports for both: 'printed', 'swapped', 'both'
     or 'neither'.  Sorted by p."""
-    verdicts = {}
-    for params, outcomes in sorted(_paired_outcomes(reports).items()):
-        if len(outcomes) == 2:
-            verdicts[dict(params)["p"]] = _VERDICTS[outcomes["I15"], outcomes["I15-swapped"]]
-    return verdicts
+    holds = {(r.id, dict(r.params)["p"]): r.holds for r in reports if r.id in I15_PAIR}
+    return {p: _VERDICTS[printed, holds["I15-swapped", p]]
+            for (rid, p), printed in sorted(holds.items())
+            if rid == "I15" and ("I15-swapped", p) in holds}
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from partlab import acceptance, bijections, enumeration, families, qseries
+from partlab import acceptance, bijections, enumeration, families, identities, qseries
 from partlab.partition import Partition
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -109,3 +109,24 @@ def test_bijection_sweep_reaches_its_layers(monkeypatch):
             checks += 1
     assert all(calls.get(name, 0) > 0 for _, name in targets), calls
     assert calls["membership"] == checks == 225
+
+
+def test_verify_path_reaches_its_layers(monkeypatch):
+    # verify-all's REACHED list needs identities.verify.calls,
+    # families.count_enum.calls and qseries.gf_family.calls > 0, and its
+    # BYPASSED list partition.Partition.init_calls == 0.  A serial sweep runs
+    # identities.verify once per cell; its family reads go through
+    # families.values to enum_values (which checks each request through
+    # count_enum) or series_for, and no cell builds a Partition.
+    calls = {}
+    targets = [(identities, "verify"), (families, "count_enum"), (families, "series_for"),
+               (qseries, "gf_family"), (Partition, "__init__")]
+    for owner, name in targets:
+        def counting(*args, name=name, original=getattr(owner, name), **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counting)
+    reports = identities.verify_cells(identities.identity_ids(), n_max=10, jobs=1)
+    assert len(reports) == calls["verify"] == 62
+    assert all(calls.get(name, 0) > 0 for name in ("count_enum", "series_for", "gf_family")), calls
+    assert "__init__" not in calls

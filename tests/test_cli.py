@@ -57,17 +57,6 @@ def test_table_series_range_builds_one_series(capsys, monkeypatch):
     assert out.splitlines() == [f"{n},{families.count_series('s', n)}" for n in range(195, 261)]
 
 
-@pytest.mark.parametrize("family,flags,top", [("a_np", ["--p", "5"], 12), ("d_e", [], 7)])
-def test_series_and_table_series_print_the_same_rows(capsys, family, flags, top):
-    # Both commands read through families.series_for.
-    code, series_out, _ = run(capsys, "series", family, *flags, "--order", str(top))
-    assert code == 0
-    code, table_out, _ = run(capsys, "table", family, f"0..{top}", *flags, "--engine", "series")
-    assert code == 0
-    assert series_out == table_out
-    assert len(series_out.splitlines()) == top + 1
-
-
 def test_table_rejects_order(capsys):
     for engine in ("series", "enum"):
         code, _, err = run(capsys, "table", "d_e", "8", "--engine", engine, "--order", "8")
@@ -100,20 +89,37 @@ def test_table_output_is_byte_stable(capsys):
 
 
 def test_series_dump(capsys):
-    code, out, _ = run(capsys, "series", "a_np", "--p", "5", "--order", "12")
+    argv = ("table", "a_np", "0..12", "--p", "5", "--engine", "series")
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     rows = out.strip().splitlines()
     assert rows[0] == "0,0"
     assert rows[5] == "5,1"
     assert len(rows) == 13
-    _, again, _ = run(capsys, "series", "a_np", "--p", "5", "--order", "12")
+    _, again, _ = run(capsys, *argv)
     assert out == again
 
 
 def test_series_unsupported_family(capsys):
-    code, _, err = run(capsys, "series", "d_k", "--k", "3")
+    code, _, err = run(capsys, "table", "d_k", "0..3", "--k", "3", "--engine", "series")
     assert code == 2
     assert "closed-form" in err
+
+
+def test_series_subcommand_is_gone(capsys):
+    # table F 0..N --engine series prints what series F --order N printed.
+    code, out, err = run(capsys, "series", "s", "--order", "5")
+    assert code == 2
+    assert out == ""
+    assert "invalid choice: 'series'" in err
+
+
+@pytest.mark.parametrize("tokens", [["1..2..3"], ["a..b"], ["1", "2", "3"], ["1..2", "3"], ["x"]])
+def test_table_rejects_a_malformed_range(capsys, tokens):
+    code, out, err = run(capsys, "table", "s", *tokens)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: expected N, N..M or two endpoints, got {tokens!r}\n"
 
 
 def test_verify_cell(capsys):
@@ -298,7 +304,6 @@ def test_env_cap_and_flag_precedence(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ("table", "s", "6000", "6000", "--engine", "series"),
-    ("series", "s", "--order", "6000"),
     ("verify", "I14", "--engine", "series", "--n-max", "6000"),
 ])
 def test_series_order_bound_exit_code(capsys, monkeypatch, argv):

@@ -9,6 +9,7 @@ from partlab.identities import (
     Counterexample,
     IdentityReport,
     IdentitySpec,
+    failures,
     format_params,
     identity_ids,
     list_identities,
@@ -93,6 +94,35 @@ def test_adjudication_exactly_one_orientation():
                report("I15", 5, True), report("I1", 7, False)]
     # a p with only one orientation reported gets no verdict
     assert orientation_verdicts(reports) == {2: "both", 3: "neither"}
+
+
+def test_failures_lines():
+    def report(identity_id, params, ce=None):
+        return IdentityReport(identity_id, params, 30, "enum",
+                              "fails" if ce else "holds", ce, 0)
+
+    p2, p3 = (("p", 2),), (("p", 3),)
+    printed_fails = report("I15", p2, Counterexample(2, 1, 0))
+    swapped_fails = report("I15-swapped", p3, Counterexample(3, 0, 1))
+    # exactly one orientation per p: no line, whichever holds
+    assert failures([printed_fails, report("I15-swapped", p2),
+                     report("I15", p3), swapped_fails]) == []
+    # a lone orientation must hold
+    assert failures([report("I15-swapped", p2)]) == []
+    assert failures([printed_fails]) == ["expected exactly one orientation to hold for p=2"]
+    # both and neither; a plain failure gives its counterexample, and comes first
+    plain = report("I4", (("p", 3), ("r", 1)), Counterexample(5, 2, 3))
+    reports = [report("I15", p3, Counterexample(3, 1, 0)), swapped_fails,
+               report("I15", p2), report("I15-swapped", p2), plain,
+               report("I1", (), Counterexample(4, 1, 2)), report("I16", (("t", 2),))]
+    assert orientation_verdicts(reports) == {2: "both", 3: "neither"}
+    assert failures(reports) == [
+        "I4 {'p': 3, 'r': 1} fails at n=5: lhs=2 rhs=3",
+        "I1 {} fails at n=4: lhs=1 rhs=2",
+        "expected exactly one orientation to hold for p=2",
+        "expected exactly one orientation to hold for p=3",
+    ]
+    assert not overall_ok(reports)
 
 
 def test_printed_orientation_counterexample_reproducible():
