@@ -304,6 +304,7 @@ def test_env_cap_and_flag_precedence(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ("table", "s", "6000", "6000", "--engine", "series"),
+    ("table", "s", "0..6000", "--engine", "series"),
     ("verify", "I14", "--engine", "series", "--n-max", "6000"),
 ])
 def test_series_order_bound_exit_code(capsys, monkeypatch, argv):
