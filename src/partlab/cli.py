@@ -155,7 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=_cmd_table)
 
     p_verify = sub.add_parser("verify", help="check registered identities")
-    p_verify.add_argument("identity", help="identity id (I1..I16, I15-swapped) or 'all'")
+    p_verify.add_argument("identity",
+                          help=f"identity id ({', '.join(identities.identity_ids())}) or 'all'")
     _add_param_flags(p_verify)
     p_verify.add_argument("--n-max", type=int, default=None)
     p_verify.add_argument("--engine", choices=("enum", "series", "both"), default=None)

@@ -30,7 +30,7 @@ PairSeq = tuple[Pair, ...]
 # out; most class states are 0/1 for "the one marked part value has been
 # seen".  A statistic's state is its running total, and it never dies.  The
 # parity-split folds take (odd, even) weights: (1, 0) or (0, 1) for a piece,
-# (1, -1) for a signed count, (1, 1) for a sum; a zero weight rules out.
+# (1, -1) for a signed count; a zero weight rules out.
 
 
 def _identity(state: int) -> int:
@@ -82,18 +82,9 @@ def _fold_h(p: int, i: int) -> Fold:
 def _fold_one_heavy_in_residue(p: int, k: int, r: int) -> Fold:
     # Exactly one part value in residue class r mod p has multiplicity >= k;
     # the other values in that class stay below k; everything else is free.
+    # At k = 1 the class's set of part values is a singleton.
     def step(seen: int, part: int, mult: int) -> int | None:
         if mult < k or part % p != r:
-            return seen
-        return None if seen else 1
-
-    return 0, step, _identity
-
-
-def _fold_singleton_residue(modulus: int, residue: int) -> Fold:
-    # The set of part values in the residue class is a singleton.
-    def step(seen: int, part: int, mult: int) -> int | None:
-        if part % modulus != residue:
             return seen
         return None if seen else 1
 
@@ -252,7 +243,7 @@ _register(FamilySpec(
 _register(FamilySpec(
     "b_prime", "class", (),
     "partitions whose set of even part values is a singleton",
-    make_fold=lambda: _fold_singleton_even_set(1, 1),
+    make_fold=lambda: _fold_one_heavy_in_residue(2, 1, 0),
 ))
 _register(FamilySpec(
     "g_r_odd", "class", ("p", "r"),
@@ -278,7 +269,7 @@ _register(FamilySpec(
     "o_p", "class", ("p",),
     "the set of part values divisible by p is a singleton",
     validate=_validate_p2,
-    make_fold=lambda p: _fold_singleton_residue(p, 0),
+    make_fold=lambda p: _fold_one_heavy_in_residue(p, 1, 0),
 ))
 _register(FamilySpec(
     "o_p_odd", "class", ("p",),
@@ -312,12 +303,12 @@ _register(FamilySpec(
 _register(FamilySpec(
     "f0", "class", (),
     "the set of part values divisible by 4 is a singleton",
-    make_fold=lambda: _fold_singleton_residue(4, 0),
+    make_fold=lambda: _fold_one_heavy_in_residue(4, 1, 0),
 ))
 _register(FamilySpec(
     "f2", "class", (),
     "the set of part values congruent to 2 mod 4 is a singleton",
-    make_fold=lambda: _fold_singleton_residue(4, 2),
+    make_fold=lambda: _fold_one_heavy_in_residue(4, 1, 2),
 ))
 _register(FamilySpec(
     "d_pkr", "class", ("p", "k", "r"),
@@ -330,7 +321,7 @@ _register(FamilySpec(
     "f_pkr", "class", ("p", "k", "r"),
     "the set of part values in class k*r mod p*k is a singleton",
     validate=_validate_pkr,
-    make_fold=lambda p, k, r: _fold_singleton_residue(p * k, (k * r) % (p * k)),
+    make_fold=lambda p, k, r: _fold_one_heavy_in_residue(p * k, 1, (k * r) % (p * k)),
 ))
 _register(FamilySpec(
     "d_k", "class", ("k",),
@@ -473,8 +464,6 @@ def values(family: str, n_max: int, params: Params | None, engine: str) -> tuple
 
 def count_series(family: str, n: int, params: Params | None = None) -> int:
     """Value of the family at n read off its closed-form series."""
-    if n < 0:
-        raise DomainError(f"index must be nonnegative, got {n}")
     return series_for(family, params, n).coeffs[n]
 
 

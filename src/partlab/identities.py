@@ -13,7 +13,7 @@ import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from io import StringIO
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -465,16 +465,7 @@ def orientation_verdicts(reports: Iterable[IdentityReport]) -> dict[int, str]:
 
 
 def report_to_dict(report: IdentityReport) -> dict:
-    ce = report.counterexample
-    return {
-        "id": report.id,
-        "params": dict(report.params),
-        "n_max": report.n_max,
-        "engine": report.engine,
-        "status": report.status,
-        "counterexample": None if ce is None else {"n": ce.n, "lhs": ce.lhs, "rhs": ce.rhs},
-        "ms": report.ms,
-    }
+    return {**asdict(report), "params": dict(report.params)}
 
 
 def reports_to_json(reports: Iterable[IdentityReport]) -> str:

@@ -209,8 +209,6 @@ def _a_r(order: int, p: int, r: int) -> Form:
 
 def _h(order: int, p: int, i: int) -> Form:
     """o_p_odd for i = p, o_p_even for i = 0."""
-    if i not in (p, 0):
-        raise DomainError(f"h requires i in {{0, p}}, got i={i} with p={p}")
     return (p, p), lambert(p if i == p else 2 * p, 2 * p, 1, order)
 
 
@@ -222,8 +220,6 @@ def _f_pkr(order: int, p: int, k: int, r: int) -> Form:
 
 def _heavy_parity(order: int, alpha: int, p: int, parity: int) -> Series:
     """Sum over n >= 1 of parity n mod 2 of q^(alpha*n) / (1 - q^(p*n))."""
-    if alpha < 1 or p < 1:
-        raise DomainError("the heavy-part sum needs alpha >= 1 and p >= 1")
     c = [0] * (order + 1)
     for n in range(2 - parity, order // alpha + 1, 2):
         for e in range(alpha * n, order + 1, p * n):
@@ -238,7 +234,7 @@ CLOSED_FORMS: dict[str, Callable[..., Form | None]] = {
     **dict.fromkeys(("a_r", "g_r"), _a_r),
     "a_np": lambda order, p: ((p, p), add(lambert(p, p, 1, order),
                                           scale(lambert(p * p, p * p, 1, order), -p))),
-    "o_p": lambda order, p: ((p, p), lambert(p, p, 1, order)),
+    "o_p": lambda order, p: _f_pkr(order, p, 1, 0),
     "o_p_odd": lambda order, p: _h(order, p, p),
     "o_p_even": lambda order, p: _h(order, p, 0),
     "h": _h,
@@ -258,7 +254,8 @@ def gf_family(family: str, params: Mapping[str, int] | None = None, order: int =
 
     Raises UnsupportedFamilyError for families whose counting definition has
     no closed form here, and ResourceLimitError past the order bound
-    (PARTLAB_MAX_ORDER, else DEFAULT_MAX_ORDER).
+    (PARTLAB_MAX_ORDER, else DEFAULT_MAX_ORDER).  The params are taken as a
+    valid cell; ``families.series_for`` checks them first.
     """
     form = CLOSED_FORMS.get(family)
     if form is None:
@@ -270,11 +267,7 @@ def gf_family(family: str, params: Mapping[str, int] | None = None, order: int =
         raise ResourceLimitError(
             f"series order {order} exceeds the bound {limit} (raise it via {MAX_ORDER_ENV_VAR})"
         )
-    kwargs = dict(params or {})
-    try:
-        shape = form(order, **kwargs)
-    except TypeError as exc:
-        raise DomainError(f"bad parameters {kwargs!r} for family {family!r}: {exc}") from None
+    shape = form(order, **(params or {}))
     if shape is None:
         return inverse(pentagonal_series(order))
     (c, step), total = shape

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import partlab
-from partlab import cli, families, identities, qseries
+from partlab import bijections, cli, families, identities, qseries
 from partlab.enumeration import CAP_ENV_VAR
 
 
@@ -254,6 +254,16 @@ def test_map_exit_codes(capsys):
     assert code == 2  # missing parameters
 
 
+def test_map_lemma_violation_is_an_internal_defect(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise bijections.LemmaViolation("core broke its lemma")
+
+    monkeypatch.setattr(bijections, "_dpk_to_dp_core", broken)
+    code, _, err = run(capsys, "map", "dpk", "--p", "3", "--k", "4", "1^12")
+    assert code == 4
+    assert err.startswith("internal defect:")
+
+
 def test_table_exit_codes(capsys):
     code, _, _ = run(capsys, "table", "nosuch", "1", "2")
     assert code == 2
@@ -261,6 +271,8 @@ def test_table_exit_codes(capsys):
     assert code == 2  # parameters outside the family domain
     code, _, _ = run(capsys, "table", "s", "81", "81")
     assert code == 3  # enumeration cap
+    code, _, err = run(capsys, "table", "d_e", "5..3")
+    assert (code, err) == (2, "error: bad range 5..3\n")
 
 
 def test_verify_all_with_params_skips_identities_without_a_matching_cell(capsys):

@@ -81,6 +81,9 @@ def test_cap_enforced_and_overridable(monkeypatch):
     monkeypatch.setenv(enumeration.CAP_ENV_VAR, "not-a-number")
     with pytest.raises(DomainError):
         list(generate(1, ALL))
+    monkeypatch.setenv(enumeration.CAP_ENV_VAR, "-1")
+    with pytest.raises(DomainError, match="must be nonnegative"):
+        list(generate(1, ALL))
 
 
 def test_cap_has_no_per_call_override():

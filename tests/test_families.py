@@ -31,6 +31,12 @@ def test_count_series_values():
     assert count_series("o_p", 0, {"p": 2}) == 0
 
 
+def test_count_series_negative_index():
+    # The series order check rejects n < 0; count_series holds no check of its own.
+    with pytest.raises(DomainError, match="must be nonnegative"):
+        count_series("d_e", -1)
+
+
 def test_count_series_beyond_default_order():
     # n above qseries.DEFAULT_ORDER builds the series to n itself.
     assert count_series("s", 250) == 230793554364681

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import partlab
 from partlab import qseries
 from partlab.errors import DomainError, OrderMismatchError, ResourceLimitError, UnsupportedFamilyError
 from partlab.numtheory import sigma0
@@ -173,14 +174,12 @@ def test_gf_family_unsupported():
 
 
 def test_gf_family_bad_params():
-    with pytest.raises(DomainError):
-        gf_family("a_r", {"p": 2}, 10)
-    with pytest.raises(DomainError):
-        gf_family("h", {"p": 3, "i": 1}, 10)
-    for family, params in (("s", {"k": 2}), ("a", {"p": 3}), ("d_e", {"r": 1}),
-                           ("o_p_odd", {"p": 3, "i": 0})):
+    # The cell is checked once, where it enters: partlab.gf_family
+    # (families.series_for), not qseries.gf_family.
+    for family, params in (("a_r", {"p": 2}), ("h", {"p": 3, "i": 1}), ("s", {"k": 2}),
+                           ("a", {"p": 3}), ("d_e", {"r": 1}), ("o_p_odd", {"p": 3, "i": 0})):
         with pytest.raises(DomainError):
-            gf_family(family, params, 10)
+            partlab.gf_family(family, params, 10)
 
 
 @given(coeff_lists, coeff_lists)
@@ -312,6 +311,9 @@ def test_order_bound(monkeypatch):
         gf_family("s", {}, 51)
     monkeypatch.setenv(qseries.MAX_ORDER_ENV_VAR, "many")
     with pytest.raises(DomainError):
+        gf_family("s", {}, 5)
+    monkeypatch.setenv(qseries.MAX_ORDER_ENV_VAR, "-1")
+    with pytest.raises(DomainError, match="must be nonnegative"):
         gf_family("s", {}, 5)
     monkeypatch.delenv(qseries.MAX_ORDER_ENV_VAR)
     with pytest.raises(ResourceLimitError):
