@@ -97,7 +97,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(line)
         for p, verdict in identities.orientation_verdicts(reports).items():
             print(f"orientation verdict (p={p}): {verdict}")
-    return EXIT_OK if identities.overall_ok(reports) else EXIT_FAIL
+    return EXIT_FAIL if identities.failures(reports) else EXIT_OK
 
 
 def _cmd_map(args: argparse.Namespace) -> int:

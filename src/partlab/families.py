@@ -27,8 +27,8 @@ PairSeq = tuple[Pair, ...]
 #
 # A fold is (init, step, value), see enumeration.Fold.  A class fold's value
 # is 1 or 0, and its step returns None for a pair that rules the partition
-# out; most class states are 0/1 for "the one marked part value has been
-# seen".  A statistic's state is its running total, and it never dies.  The
+# out; most class states are the heavy part value's weight, 0 until it is
+# seen.  A statistic's state is its running total, and it never dies.  The
 # parity-split folds take (odd, even) weights: (1, 0) or (0, 1) for a piece,
 # (1, -1) for a signed count; a zero weight rules out.
 
@@ -55,38 +55,16 @@ def _fold_singleton_even_set(odd: int, even: int) -> Fold:
     return 0, step, lambda state: (0, 0, even, odd)[state]
 
 
-def _fold_o_p(p: int, mult_parity: int) -> Fold:
-    # The set of part values divisible by p is a singleton, and the number of
-    # divisible parts counted with multiplicity has the given parity.
-    def step(seen: int, part: int, mult: int) -> int | None:
-        if part % p:
-            return seen
-        return None if seen or mult % 2 != mult_parity else 1
-
-    return 0, step, _identity
-
-
-def _fold_h(p: int, i: int) -> Fold:
-    # Parts are either not divisible by p, or lie in the residue class
-    # i mod 2p; the set of parts in that class is a singleton.
-    two_p = 2 * p
-
-    def step(seen: int, part: int, mult: int) -> int | None:
-        if part % p:
-            return seen
-        return None if seen or part % two_p != i else 1
-
-    return 0, step, _identity
-
-
-def _fold_one_heavy_in_residue(p: int, k: int, r: int) -> Fold:
+def _fold_one_heavy_in_residue(p: int, k: int, r: int,
+                               weight: Callable[[int, int], int] = lambda part, mult: 1) -> Fold:
     # Exactly one part value in residue class r mod p has multiplicity >= k;
     # the other values in that class stay below k; everything else is free.
-    # At k = 1 the class's set of part values is a singleton.
+    # At k = 1 the class's set of part values is a singleton.  The state is
+    # weight(part, mult) of the heavy value, and a zero weight rules out.
     def step(seen: int, part: int, mult: int) -> int | None:
         if mult < k or part % p != r:
             return seen
-        return None if seen else 1
+        return None if seen else weight(part, mult) or None
 
     return 0, step, _identity
 
@@ -94,18 +72,12 @@ def _fold_one_heavy_in_residue(p: int, k: int, r: int) -> Fold:
 def _fold_g_alpha(alpha: int, k: int, p: int, odd: int, even: int) -> Fold:
     # Exactly one part value appears >= alpha times and its multiplicity m
     # satisfies (m - alpha) mod p < k; all other values appear at most k-1
-    # times; the state is the weight of the heavy value's parity.  A
-    # multiplicity in [k, alpha) dies although a larger one may qualify.  The
+    # times; the weight is that of the heavy value's parity.  A multiplicity
+    # in [k, alpha) dies although a larger one may qualify.  The
     # repeated-part counts are the k = 2 cases: c at alpha = 2, p = 1, and g_r
     # at alpha = p - r, where (m - alpha) mod p < 2 puts m in {-r, -r+1} mod p.
-    def step(seen: int, part: int, mult: int) -> int | None:
-        if mult < k:
-            return seen
-        if seen or mult < alpha or (mult - alpha) % p >= k:
-            return None
-        return (odd if part % 2 else even) or None
-
-    return 0, step, _identity
+    return _fold_one_heavy_in_residue(1, k, 0, lambda part, mult: (
+        (odd if part % 2 else even) if mult >= alpha and (mult - alpha) % p < k else 0))
 
 
 def _fold_no_part_divisible(t: int) -> Fold:
@@ -275,20 +247,22 @@ _register(FamilySpec(
     "o_p_odd", "class", ("p",),
     "singleton divisible-value set with an odd number of divisible parts",
     validate=_validate_p2,
-    make_fold=lambda p: _fold_o_p(p, 1),
+    make_fold=lambda p: _fold_one_heavy_in_residue(p, 1, 0, lambda part, mult: mult % 2),
 ))
 _register(FamilySpec(
     "o_p_even", "class", ("p",),
     "singleton divisible-value set with an even number of divisible parts",
     validate=_validate_p2,
-    make_fold=lambda p: _fold_o_p(p, 0),
+    make_fold=lambda p: _fold_one_heavy_in_residue(p, 1, 0, lambda part, mult: 1 - mult % 2),
 ))
 _register(FamilySpec(
     "h", "class", ("p", "i"),
     "parts not divisible by p are free, parts in class i mod 2p form a "
     "singleton set, all other multiples of p are forbidden",
     validate=_validate_h,
-    make_fold=_fold_h,
+    # An int weight, not a bool: fold states stay ints.
+    make_fold=lambda p, i: _fold_one_heavy_in_residue(
+        p, 1, 0, lambda part, mult: int(part % (2 * p) == i)),
 ))
 _register(FamilySpec(
     "d_e", "class", (),

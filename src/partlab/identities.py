@@ -440,11 +440,6 @@ def failures(reports: Iterable[IdentityReport]) -> list[str]:
                     for p, holds in sorted(paired.items()) if sum(holds.values()) != 1]
 
 
-def overall_ok(reports: Iterable[IdentityReport]) -> bool:
-    """True when ``failures`` finds nothing."""
-    return not failures(reports)
-
-
 _VERDICTS = {(True, True): "both", (True, False): "printed",
              (False, True): "swapped", (False, False): "neither"}
 

@@ -4,7 +4,7 @@ The heavy sweeps share memoized enumeration counts with the unit-test
 modules, so a full ``pytest`` run pays for each enumeration only once.
 """
 
-from partlab import acceptance
+from partlab import acceptance, bijections
 
 
 def _check(result):
@@ -44,3 +44,16 @@ def test_criterion_7_bijectivity_sweeps():
 
 def test_criterion_8_parity_grid_and_adjudication():
     _check(acceptance.criterion_8())
+
+
+def test_time_budget_overrun_fails():
+    result = acceptance._run(9, "t", 0.0, lambda notes: True)
+    assert not result.passed
+    assert result.notes[0].startswith("time budget exceeded")
+
+
+def test_a_raising_criterion_fails_with_its_error(monkeypatch):
+    monkeypatch.setattr(bijections, "_genr_d_to_f_core", lambda k, partition, steps=None: partition)
+    result = acceptance.criterion_2()
+    assert not result.passed
+    assert any(note.startswith("raised DomainError:") for note in result.notes)

@@ -29,6 +29,8 @@ def test_glaisher_domain():
         bj.glaisher(2, P("3^2"))
     with pytest.raises(DomainError):
         bj.glaisher(1, P("3"))
+    with pytest.raises(DomainError):
+        bj.glaisher_inv(1, P("3"))
 
 
 def test_glaisher_inv_base_digits():

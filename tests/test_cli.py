@@ -339,6 +339,21 @@ def test_selftest_subset(capsys):
     assert lines[1].startswith("criterion 2: PASS")
 
 
+def test_selftest_rejects_an_unknown_criterion(capsys):
+    code, out, err = run(capsys, "selftest", "--only", "9")
+    assert code == 2 and out == ""
+    assert "error: criterion number must be 1..8, got 9" in err
+
+
+def test_selftest_failing_criterion_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(families, "recurrence_d_e", lambda n: 7)
+    code, out, _ = run(capsys, "selftest", "--only", "1")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("criterion 1: FAIL")
+    assert lines[1] == "    recurrence at 8 = 7 != 6"
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["glaisher", "--t", "2", "--p", "3", "4,2"], "p"),
     (["genr", "--p", "3", "--k", "4", "--r", "1", "--t", "2", "4,3,2"], "t"),

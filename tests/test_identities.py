@@ -14,7 +14,6 @@ from partlab.identities import (
     identity_ids,
     list_identities,
     orientation_verdicts,
-    overall_ok,
     reports_to_csv,
     reports_to_json,
     verify,
@@ -36,7 +35,7 @@ def test_registry_complete_and_unique():
 
 def test_smoke_all_default_grids():
     reports = verify_cells(n_max=20)
-    assert overall_ok(reports)
+    assert not failures(reports)
     # every registered identity appears in the batch
     assert {r.id for r in reports} == set(identity_ids())
 
@@ -122,7 +121,6 @@ def test_failures_lines():
         "expected exactly one orientation to hold for p=2",
         "expected exactly one orientation to hold for p=3",
     ]
-    assert not overall_ok(reports)
 
 
 def test_printed_orientation_counterexample_reproducible():
@@ -137,16 +135,16 @@ def test_printed_orientation_counterexample_reproducible():
 def test_pair_auto_included_and_counts_as_holding():
     reports = verify_cells(["I15"], n_max=20)
     assert {r.id for r in reports} == {"I15", "I15-swapped"}
-    assert overall_ok(reports)
+    assert not failures(reports)
 
 
 def test_overall_ok_fails_when_plain_identity_fails():
     reports = verify_cells(["I1"], n_max=20)
-    assert overall_ok(reports)
+    assert not failures(reports)
     broken = [identities.IdentityReport(
         id="I1", params=(), n_max=5, engine="enum", status="fails",
         counterexample=identities.Counterexample(3, 1, 2), ms=0)]
-    assert not overall_ok(broken)
+    assert failures(broken)
 
 
 def test_unknown_identity_and_bad_params():
@@ -173,7 +171,7 @@ def test_blanket_engine_request_skips_unsupported():
     ran = {r.id for r in reports}
     assert "I5" in ran and "I14" in ran
     assert "I1" not in ran and "I16" not in ran
-    assert overall_ok(reports)
+    assert not failures(reports)
     # explicitly requested ids still reject an unsupported engine
     with pytest.raises(DomainError):
         verify_cells(["I1"], engine="series")

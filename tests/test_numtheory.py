@@ -12,6 +12,8 @@ def test_sigma0_values():
     assert sigma0(12) == 6
     assert sigma0(1) == 1
     assert sigma0(0) == 0
+    with pytest.raises(DomainError):
+        sigma0(-1)
 
 
 def test_sigma0_multiplicative_small_exhaustive():
@@ -55,6 +57,8 @@ def test_sets_AB_examples():
     assert sets_AB(8) == (frozenset({1}), frozenset({1}))
     assert sets_AB(4) == (frozenset(), frozenset({1}))
     assert sets_AB(3) == (frozenset(), frozenset())
+    with pytest.raises(DomainError):
+        sets_AB(-1)
 
 
 def test_index_products_always_divisible_by_4():

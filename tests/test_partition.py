@@ -34,7 +34,7 @@ def test_zero_multiplicity_dropped():
     assert Partition([(3, 0), (2, 1)]).pairs == ((2, 1),)
 
 
-@pytest.mark.parametrize("bad", [[(0, 1)], [(-3, 2)], [(2, -1)], [("x", 1)], [(2.5, 1)]])
+@pytest.mark.parametrize("bad", [[(0, 1)], [(-3, 2)], [(2, -1)], [("x", 1)], [(2.5, 1)], [(3,)]])
 def test_invalid_input_rejected(bad):
     with pytest.raises(InvalidPartitionError):
         Partition(bad)

@@ -88,6 +88,8 @@ def test_pochhammer_validation():
         pochhammer(0, 1, 5)
     with pytest.raises(DomainError):
         pochhammer_plus(1, 0, 5)
+    with pytest.raises(DomainError):
+        pentagonal_series(5, 0)
 
 
 def test_lambert_divisor_counts():
@@ -202,6 +204,8 @@ def test_coefficient_indexing():
     assert s[0] == 5 and s[2] == 7
     with pytest.raises(IndexError):
         s[3]
+    with pytest.raises(DomainError):
+        Series([])
 
 
 def _schoolbook_mul(a, b):
