@@ -260,12 +260,14 @@ _CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4,
 
 def run_all(numbers: list[int] | None = None,
             echo: Callable[[str], None] | None = None) -> list[CriterionResult]:
-    """Run the acceptance criteria (all by default), echoing one line each."""
+    """Run the acceptance criteria (all by default), echoing one line each.
+    Every number is checked before any criterion runs."""
     chosen = numbers or list(range(1, len(_CRITERIA) + 1))
-    results = []
     for number in chosen:
         if not 1 <= number <= len(_CRITERIA):
             raise ValueError(f"criterion number must be 1..{len(_CRITERIA)}, got {number}")
+    results = []
+    for number in chosen:
         result = _CRITERIA[number - 1]()
         results.append(result)
         if echo is not None:

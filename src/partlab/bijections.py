@@ -1,11 +1,14 @@
 """Constructive weight-preserving bijections between partition classes.
 
 Every map is written once, as a core: a function of its cell values and a
-partition that returns the image, built by one ``Partition(...)`` call, and
-records a ``TraceStep`` for each intermediate partition only when its caller
-passes a ``steps`` list.  Cores check no class.  The splitting maps
-``glaisher`` and ``glaisher_inv`` check their input inline; the other cores
-call them.
+partition that returns the image.  A core computes on plain (part,
+multiplicity) pairs and dicts; all splitting arithmetic lives in two
+helpers, ``_split`` and ``_unsplit``, that add an image into a dict.  The
+image is built by one validating ``Partition(...)`` call, which is the
+sweep's structural check on it.  Only when its caller passes a ``steps``
+list does a core wrap the same intermediates, sorted, as ``TraceStep``
+values.  Cores check no class.  The public splitting maps ``glaisher`` and
+``glaisher_inv`` are their input checks plus one helper call.
 
 ``BIJECTIONS`` declares every map once, keyed by the name that
 ``partlab map`` and the exhaustive sweep use (glaisher, genr, dpk, var0).
@@ -21,7 +24,7 @@ class and checks the codomain by its membership predicate and its count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import families
 from .errors import DomainError, PartlabError
@@ -48,18 +51,34 @@ class BijectionTrace:
 Steps = list[TraceStep] | None
 
 
-def _canonical(pairs: list[Pair]) -> Partition:
-    """Wrap pairs that are already canonical (distinct parts, decreasing)."""
-    return Partition._raw(tuple(pairs), sum(part * mult for part, mult in pairs))
+def _canonical(pairs: Iterable[Pair]) -> Partition:
+    """Wrap pairs with distinct parts and positive multiplicities, sorted."""
+    canon = tuple(sorted(pairs, reverse=True))
+    return Partition._raw(canon, sum(part * mult for part, mult in canon))
 
 
-def _strip_power(x: int, t: int) -> tuple[int, int]:
-    """Write x = t^a * b with t not dividing b; returns (b, t^a)."""
-    scale = 1
-    while x % t == 0:
-        x //= t
-        scale *= t
-    return x, scale
+def _split(t: int, pairs: Iterable[Pair], out: dict[int, int]) -> dict[int, int]:
+    """Add the splitting image of ``pairs`` into ``out`` and return it: a
+    part t^a*b (t not dividing b) with multiplicity m adds t^a*m to b."""
+    for part, mult in pairs:
+        while part % t == 0:
+            part //= t
+            mult *= t
+        out[part] = out.get(part, 0) + mult
+    return out
+
+
+def _unsplit(t: int, pairs: Iterable[Pair], out: dict[int, int]) -> dict[int, int]:
+    """Add the inverse splitting image of ``pairs`` into ``out`` and return
+    it: a part b with multiplicity m = sum of m_i t^i in base t adds m_i to
+    t^i*b."""
+    for part, mult in pairs:
+        while mult:
+            mult, digit = divmod(mult, t)
+            if digit:
+                out[part] = out.get(part, 0) + digit
+            part *= t
+    return out
 
 
 def glaisher(t: int, partition: Partition) -> Partition:
@@ -68,13 +87,11 @@ def glaisher(t: int, partition: Partition) -> Partition:
     <= t-1; the image has no part divisible by t."""
     if t < 2:
         raise DomainError(f"glaisher map needs t >= 2, got {t}")
-    out: dict[int, int] = {}
     for part, mult in partition.pairs:
         if mult > t - 1:
             raise DomainError(f"part {part} has multiplicity {mult} > {t - 1}")
-        base, scale = _strip_power(part, t)
-        out[base] = out.get(base, 0) + scale * mult
-    return Partition._raw(tuple(sorted(out.items(), reverse=True)), partition.weight)
+    image = _split(t, partition.pairs, {})
+    return Partition._raw(tuple(sorted(image.items(), reverse=True)), partition.weight)
 
 
 def glaisher_inv(t: int, partition: Partition) -> Partition:
@@ -83,23 +100,15 @@ def glaisher_inv(t: int, partition: Partition) -> Partition:
     divisible by t; the image has every multiplicity <= t-1."""
     if t < 2:
         raise DomainError(f"glaisher map needs t >= 2, got {t}")
-    out: dict[int, int] = {}
-    for part, mult in partition.pairs:
+    for part, _ in partition.pairs:
         if part % t == 0:
             raise DomainError(f"part {part} is divisible by {t}")
-        scale = 1
-        while mult:
-            digit = mult % t
-            if digit:
-                key = part * scale
-                out[key] = out.get(key, 0) + digit
-            mult //= t
-            scale *= t
-    return Partition._raw(tuple(sorted(out.items(), reverse=True)), partition.weight)
+    image = _unsplit(t, partition.pairs, {})
+    return Partition._raw(tuple(sorted(image.items(), reverse=True)), partition.weight)
 
 
 # ---------------------------------------------------------------------------
-# Cores: partition -> image, with trace steps only on request
+# Cores: partition -> image on plain pairs; trace steps only on request
 # ---------------------------------------------------------------------------
 
 
@@ -113,14 +122,15 @@ def _genr_f_to_d_core(k: int, partition: Partition, steps: Steps = None) -> Part
             rest.append((part, mult))
         else:
             scaled.append((part // k, k * mult))
-    split = glaisher_inv(k, _canonical(rest))
+    split = _unsplit(k, rest, {})
     if steps is not None:
         if scaled:
             steps.append(TraceStep("divide parts divisible by "
                                    f"{k} and multiply their multiplicities by {k}", _canonical(scaled)))
         if rest:
-            steps.append(TraceStep(f"apply inverse splitting (base {k}) to the rest", split))
-    return Partition([*scaled, *split.pairs])
+            steps.append(TraceStep(f"apply inverse splitting (base {k}) to the rest",
+                                   _canonical(split.items())))
+    return Partition([*scaled, *split.items()])
 
 
 def _genr_d_to_f_core(k: int, partition: Partition, steps: Steps = None) -> Partition:
@@ -134,15 +144,15 @@ def _genr_d_to_f_core(k: int, partition: Partition, steps: Steps = None) -> Part
             scaled.append((k * part, q))
         if rem:
             rest.append((part, rem))
-    merged = glaisher(k, _canonical(rest))
+    merged = _split(k, rest, {})
     if steps is not None:
         if scaled:
             steps.append(TraceStep(f"multiply parts by {k}, dividing their multiplicities",
                                    _canonical(scaled)))
         if rest:
             steps.append(TraceStep(f"apply the splitting map (base {k}) to leftover multiplicities",
-                                   merged))
-    return Partition([*scaled, *merged.pairs])
+                                   _canonical(merged.items())))
+    return Partition([*scaled, *merged.items()])
 
 
 def _dpk_to_dp_core(p: int, k: int, partition: Partition, steps: Steps = None) -> Partition:
@@ -155,31 +165,31 @@ def _dpk_to_dp_core(p: int, k: int, partition: Partition, steps: Steps = None) -
     q, i = divmod(m, pk)
     converted = (p * j, k * q)
     rest = [(part, i if part == j else mult) for part, mult in partition.pairs if part != j or i]
-    image = glaisher(pk, _canonical(rest))
+    image = _split(pk, rest, {})
     keep: list[Pair] = []
-    divided: list[Pair] = []
-    for part, mult in image.pairs:
+    divisible: list[Pair] = []
+    for part, mult in image.items():
         if part % p:
             keep.append((part, mult))
-            continue
-        y = part // p
-        if y % k == 0:
+        elif part // p % k == 0:
             raise LemmaViolation(
                 f"part {part} divided by {p} is divisible by {k}; "
                 "input was outside the domain or the pipeline is broken"
             )
-        divided.append((y, mult))
-    beta = [(p * part, mult) for part, mult in glaisher_inv(k, _canonical(divided)).pairs]
+        else:
+            divisible.append((part, mult))
+    # Unsplitting p*y in base k gives p times the unsplit image of y.
+    beta = _unsplit(k, divisible, {})
     if steps is not None:
         steps += [
             TraceStep(f"split {j}^{m} = {j}^{pk * q} + {j}^{i}", _canonical([(j, pk * q)])),
             TraceStep(f"convert {j}^{pk * q} into {p * j}^{k * q}", _canonical([converted])),
-            TraceStep(f"apply the splitting map (base {pk}) to the rest", image),
+            TraceStep(f"apply the splitting map (base {pk}) to the rest", _canonical(image.items())),
             TraceStep(f"parts of the image not divisible by {p}", _canonical(keep)),
             TraceStep(f"divide the rest by {p}, apply inverse splitting "
-                      f"(base {k}), multiply back by {p}", _canonical(beta)),
+                      f"(base {k}), multiply back by {p}", _canonical(beta.items())),
         ]
-    return Partition([converted, *beta, *keep])
+    return Partition([converted, *beta.items(), *keep])
 
 
 def _dp_to_dpk_core(p: int, k: int, partition: Partition, steps: Steps = None) -> Partition:
@@ -200,19 +210,20 @@ def _dp_to_dpk_core(p: int, k: int, partition: Partition, steps: Steps = None) -
             light.append((part // p, mult))
         elif f:
             light.append((part // p, f))
-    mu_prime = [(p * part, mult) for part, mult in glaisher(k, _canonical(light)).pairs]
+    mu_prime = [(p * part, mult) for part, mult in _split(k, light, {}).items()]
     # Parts in plain are not multiples of p and parts in mu_prime are, so
     # the two never share a part.
-    mu_second = glaisher_inv(pk, _canonical(sorted(plain + mu_prime, reverse=True)))
+    mu_second = _unsplit(pk, plain + mu_prime, {})
     if steps is not None:
         steps += [
             TraceStep(f"split {s}^{m} = {s}^{k * t} + {s}^{f}", _canonical([(s, k * t)])),
             TraceStep(f"convert {s}^{k * t} into {s // p}^{pk * t}", _canonical([converted])),
             TraceStep(f"divide light multiples of {p} by {p}, apply the "
                       f"splitting map (base {k}), multiply back by {p}", _canonical(mu_prime)),
-            TraceStep(f"apply inverse splitting (base {pk}) to the rest", mu_second),
+            TraceStep(f"apply inverse splitting (base {pk}) to the rest",
+                      _canonical(mu_second.items())),
         ]
-    return Partition([converted, *mu_second.pairs])
+    return Partition([converted, *mu_second.items()])
 
 
 # ---------------------------------------------------------------------------

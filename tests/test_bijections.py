@@ -69,6 +69,32 @@ def test_glaisher_weight_preserved(pairs, t):
     assert bj.glaisher_inv(t, image) == source
 
 
+def assert_canonical(partition):
+    """Parts positive and strictly decreasing, multiplicities >= 1, and the
+    cached weight equal to the sum of part * multiplicity."""
+    parts = [part for part, _ in partition.pairs]
+    assert all(part >= 1 for part in parts)
+    assert all(a > b for a, b in zip(parts, parts[1:]))
+    assert all(mult >= 1 for _, mult in partition.pairs)
+    assert partition.weight == sum(part * mult for part, mult in partition.pairs)
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 60), st.integers(1, 200)), max_size=8),
+       st.integers(min_value=2, max_value=6))
+def test_splitting_images_are_canonical(pairs, t):
+    # Both maps build their image from a dict, so check the wrapped pairs.
+    merged = Partition(pairs)
+    bounded = Partition((part, (mult - 1) % (t - 1) + 1) for part, mult in merged.pairs)
+    image = bj.glaisher(t, bounded)
+    assert_canonical(image)
+    assert image.weight == bounded.weight
+    coprime = Partition((part, mult) for part, mult in merged.pairs if part % t)
+    image = bj.glaisher_inv(t, coprime)
+    assert_canonical(image)
+    assert image.weight == coprime.weight
+
+
 # --- the singleton-class / heavy-part map -----------------------------------
 
 
@@ -245,6 +271,25 @@ def test_sweep_enumerates_only_the_domain(name, params, monkeypatch):
     assert bj.exhaustive_cell_check(name, params, 12) == []
     (family, family_params), _ = bj.BIJECTIONS[name].classes(params)
     assert calls == [(family, 12, family_params)]
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+@pytest.mark.parametrize("name,params", acceptance._bijection_cells(),
+                         ids=lambda value: value if isinstance(value, str) else
+                         ",".join(f"{k}={v}" for k, v in value.items()))
+def test_traced_run_agrees_with_the_untraced_core(name, params, inverse):
+    # A core wraps its intermediates for trace steps only when it is traced,
+    # so the traced output must be the table core's image and every step a
+    # canonical partition.
+    entry = bj.BIJECTIONS[name]
+    source_class = entry.classes(params)[1 if inverse else 0]
+    core = entry.inverse if inverse else entry.forward
+    for n in range(13):
+        for source in families.enumerate_class(source_class[0], n, source_class[1]):
+            trace = bj.trace(name, params, source, inverse)
+            assert trace.output == core(params, source)
+            for step in trace.steps:
+                assert_canonical(step.value)
 
 
 # --- the sweep reports injected faults instead of raising --------------------

@@ -345,6 +345,12 @@ def test_selftest_rejects_an_unknown_criterion(capsys):
     assert "error: criterion number must be 1..8, got 9" in err
 
 
+def test_selftest_checks_every_number_before_running_any(capsys):
+    code, out, err = run(capsys, "selftest", "--only", "1", "--only", "9")
+    assert code == 2 and out == ""
+    assert "error: criterion number must be 1..8, got 9" in err
+
+
 def test_selftest_failing_criterion_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(families, "recurrence_d_e", lambda n: 7)
     code, out, _ = run(capsys, "selftest", "--only", "1")
