@@ -10,6 +10,7 @@ enumeration, and a signed count (c, b, g_r, g_alpha) is a stat valued +-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping
 
 from . import enumeration, numtheory, qseries
@@ -30,7 +31,7 @@ PairSeq = tuple[Pair, ...]
 # out; most class states are the heavy part value's weight, 0 until it is
 # seen.  A statistic's state is its running total, and it never dies.  The
 # parity-split folds take (odd, even) weights: (1, 0) or (0, 1) for a piece,
-# (1, -1) for a signed count; a zero weight rules out.
+# (1, -1) for a signed count, (1, 1) for all of o_p; a zero weight rules out.
 
 
 def _identity(state: int) -> int:
@@ -156,6 +157,18 @@ def _register(spec: FamilySpec) -> None:
     _REGISTRY[spec.id] = spec
 
 
+def _register_line(members: tuple[tuple[str, tuple[int, int], str], ...],
+                   param_names: tuple[str, ...], validate: Callable[[dict], None] | None,
+                   fold: Callable[..., Fold]) -> None:
+    """Register a parity line of (id, (odd, even) weights, description)
+    members, each folding by ``fold(**params, odd=odd, even=even)``.  A
+    negative weight makes a member a signed count, kind "stat", else "class"."""
+    for family, (odd, even), description in members:
+        _register(FamilySpec(
+            family, "stat" if min(odd, even) < 0 else "class", param_names, description,
+            make_fold=partial(fold, odd=odd, even=even), validate=validate))
+
+
 _register(FamilySpec(
     "s", "class", (),
     "number of unrestricted partitions",
@@ -182,79 +195,37 @@ _register(FamilySpec(
     enum_kind=lambda p: multiplicity_at_most(p["p"] - 1),
     make_fold=lambda p: _fold_parts_in_residue(p, 0),
 ))
-_register(FamilySpec(
-    "c_o", "class", (),
-    "exactly one part repeated, that part odd, all other parts distinct",
-    make_fold=lambda: _fold_g_alpha(2, 2, 1, 1, 0),
-))
-_register(FamilySpec(
-    "c_e", "class", (),
-    "exactly one part repeated, that part even, all other parts distinct",
-    make_fold=lambda: _fold_g_alpha(2, 2, 1, 0, 1),
-))
-_register(FamilySpec(
-    "c", "stat", (),
-    "signed count: one odd repeated part minus one even repeated part",
-    make_fold=lambda: _fold_g_alpha(2, 2, 1, 1, -1),
-))
-_register(FamilySpec(
-    "b_o", "class", (),
-    "odd number of parts, the set of even part values is a singleton",
-    make_fold=lambda: _fold_singleton_even_set(1, 0),
-))
-_register(FamilySpec(
-    "b_e", "class", (),
-    "even number of parts, the set of even part values is a singleton",
-    make_fold=lambda: _fold_singleton_even_set(0, 1),
-))
-_register(FamilySpec(
-    "b", "stat", (),
-    "signed count: odd-length minus even-length singleton-even-set partitions",
-    make_fold=lambda: _fold_singleton_even_set(1, -1),
-))
+_register_line((
+    ("c_o", (1, 0), "exactly one part repeated, that part odd, all other parts distinct"),
+    ("c_e", (0, 1), "exactly one part repeated, that part even, all other parts distinct"),
+    ("c", (1, -1), "signed count: one odd repeated part minus one even repeated part"),
+), (), None, lambda odd, even: _fold_g_alpha(2, 2, 1, odd, even))
+_register_line((
+    ("b_o", (1, 0), "odd number of parts, the set of even part values is a singleton"),
+    ("b_e", (0, 1), "even number of parts, the set of even part values is a singleton"),
+    ("b", (1, -1), "signed count: odd-length minus even-length singleton-even-set partitions"),
+), (), None, _fold_singleton_even_set)
 _register(FamilySpec(
     "b_prime", "class", (),
     "partitions whose set of even part values is a singleton",
     make_fold=lambda: _fold_one_heavy_in_residue(2, 1, 0),
 ))
-_register(FamilySpec(
-    "g_r_odd", "class", ("p", "r"),
-    "exactly one repeated part, odd, with multiplicity >= p-r and congruent "
-    "to -r or -r+1 mod p; other parts distinct",
-    validate=_validate_a_r,
-    make_fold=lambda p, r: _fold_g_alpha(p - r, 2, p, 1, 0),
-))
-_register(FamilySpec(
-    "g_r_even", "class", ("p", "r"),
-    "exactly one repeated part, even, with multiplicity >= p-r and congruent "
-    "to -r or -r+1 mod p; other parts distinct",
-    validate=_validate_a_r,
-    make_fold=lambda p, r: _fold_g_alpha(p - r, 2, p, 0, 1),
-))
-_register(FamilySpec(
-    "g_r", "stat", ("p", "r"),
-    "signed repeated-part count: odd piece minus even piece",
-    validate=_validate_a_r,
-    make_fold=lambda p, r: _fold_g_alpha(p - r, 2, p, 1, -1),
-))
-_register(FamilySpec(
-    "o_p", "class", ("p",),
-    "the set of part values divisible by p is a singleton",
-    validate=_validate_p2,
-    make_fold=lambda p: _fold_one_heavy_in_residue(p, 1, 0),
-))
-_register(FamilySpec(
-    "o_p_odd", "class", ("p",),
-    "singleton divisible-value set with an odd number of divisible parts",
-    validate=_validate_p2,
-    make_fold=lambda p: _fold_one_heavy_in_residue(p, 1, 0, lambda part, mult: mult % 2),
-))
-_register(FamilySpec(
-    "o_p_even", "class", ("p",),
-    "singleton divisible-value set with an even number of divisible parts",
-    validate=_validate_p2,
-    make_fold=lambda p: _fold_one_heavy_in_residue(p, 1, 0, lambda part, mult: 1 - mult % 2),
-))
+_register_line((
+    ("g_r_odd", (1, 0),
+     "exactly one repeated part, odd, with multiplicity >= p-r and congruent "
+     "to -r or -r+1 mod p; other parts distinct"),
+    ("g_r_even", (0, 1),
+     "exactly one repeated part, even, with multiplicity >= p-r and congruent "
+     "to -r or -r+1 mod p; other parts distinct"),
+    ("g_r", (1, -1), "signed repeated-part count: odd piece minus even piece"),
+), ("p", "r"), _validate_a_r, lambda odd, even, p, r: _fold_g_alpha(p - r, 2, p, odd, even))
+# The weights split o_p by the parity of the divisible value's multiplicity.
+_register_line((
+    ("o_p", (1, 1), "the set of part values divisible by p is a singleton"),
+    ("o_p_odd", (1, 0), "singleton divisible-value set with an odd number of divisible parts"),
+    ("o_p_even", (0, 1), "singleton divisible-value set with an even number of divisible parts"),
+), ("p",), _validate_p2, lambda odd, even, p: _fold_one_heavy_in_residue(
+    p, 1, 0, lambda part, mult: odd if mult % 2 else even))
 _register(FamilySpec(
     "h", "class", ("p", "i"),
     "parts not divisible by p are free, parts in class i mod 2p form a "
@@ -303,26 +274,15 @@ _register(FamilySpec(
     validate=_validate_k2,
     make_fold=lambda k: _fold_one_heavy_in_residue(1, k, 0),
 ))
-_register(FamilySpec(
-    "g_alpha_odd", "class", ("alpha", "k", "p"),
-    "one odd part value appears >= alpha times with multiplicity residue "
-    "(m - alpha) mod p below k; all other values appear at most k-1 times",
-    validate=_validate_g_alpha,
-    make_fold=lambda alpha, k, p: _fold_g_alpha(alpha, k, p, 1, 0),
-))
-_register(FamilySpec(
-    "g_alpha_even", "class", ("alpha", "k", "p"),
-    "one even part value appears >= alpha times with multiplicity residue "
-    "(m - alpha) mod p below k; all other values appear at most k-1 times",
-    validate=_validate_g_alpha,
-    make_fold=lambda alpha, k, p: _fold_g_alpha(alpha, k, p, 0, 1),
-))
-_register(FamilySpec(
-    "g_alpha", "stat", ("alpha", "k", "p"),
-    "signed heavy-part count: odd piece minus even piece",
-    validate=_validate_g_alpha,
-    make_fold=lambda alpha, k, p: _fold_g_alpha(alpha, k, p, 1, -1),
-))
+_register_line((
+    ("g_alpha_odd", (1, 0),
+     "one odd part value appears >= alpha times with multiplicity residue "
+     "(m - alpha) mod p below k; all other values appear at most k-1 times"),
+    ("g_alpha_even", (0, 1),
+     "one even part value appears >= alpha times with multiplicity residue "
+     "(m - alpha) mod p below k; all other values appear at most k-1 times"),
+    ("g_alpha", (1, -1), "signed heavy-part count: odd piece minus even piece"),
+), ("alpha", "k", "p"), _validate_g_alpha, _fold_g_alpha)
 _register(FamilySpec(
     "glaisher_left", "class", ("t",),
     "partitions with every multiplicity at most t-1",
@@ -378,10 +338,6 @@ def _params_key(params: dict[str, int]) -> tuple[tuple[str, int], ...]:
     return tuple(sorted(params.items()))
 
 
-def _spec_args(spec: FamilySpec, params: dict[str, int]) -> list[int]:
-    return [params[name] for name in spec.param_names]
-
-
 def _enum_kind(spec: FamilySpec, params: dict[str, int]) -> EnumKind:
     return spec.enum_kind(params) if spec.enum_kind is not None else ALL
 
@@ -396,7 +352,7 @@ def _enum_table(spec: FamilySpec, params: dict[str, int], n: int) -> tuple[int, 
     if table is not None and len(table) <= n:
         n = max(n, min(2 * (len(table) - 1), enumeration.resolve_cap()))
     if table is None or len(table) <= n:
-        fold = spec.make_fold(*_spec_args(spec, params))
+        fold = spec.make_fold(**params)
         table = tuple(enumeration.pair_sequences(n, _enum_kind(spec, params), fold=fold))
         _enum_memo[key] = table
     return table
@@ -447,7 +403,7 @@ def _class_acceptor(family: str, params: Params | None) -> tuple[Callable[[PairS
     norm = normalize_params(family, params)
     if spec.kind != "class":
         raise DomainError(f"family {family!r} is not a partition class")
-    init, step, value = spec.make_fold(*_spec_args(spec, norm))
+    init, step, value = spec.make_fold(**norm)
     kind = _enum_kind(spec, norm)
     bound = kind.bound
 

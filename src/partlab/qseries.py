@@ -82,16 +82,12 @@ def _terms(a: Series) -> list[tuple[int, int]]:
 
 
 def mul(a: Series, b: Series) -> Series:
-    """Product, one shifted row of the denser operand per nonzero term of the
-    sparser one."""
+    """Product, one shifted row of b per nonzero term of a: pass the sparser
+    series first."""
     order = _same_order(a, b)
-    terms, dense = _terms(a), b.coeffs
-    other = _terms(b)
-    if len(other) < len(terms):
-        terms, dense = other, a.coeffs
     out = [0] * (order + 1)
-    for i, ai in terms:
-        out[i:] = [x + ai * y for x, y in zip(out[i:], dense)]
+    for i, ai in _terms(a):
+        out[i:] = [x + ai * y for x, y in zip(out[i:], b.coeffs)]
     return Series(out)
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 import partlab
@@ -114,6 +116,25 @@ def test_oracle_series_agreement_deep(monkeypatch):
     series = series_for("d_e", order=400).coeffs
     for n in range(1, 401):
         assert d_e[n] == recurrence_d_e(n) == series[n], n
+
+
+def test_oracle_series_agreement_whole_domain():
+    # Past the default grid: every parameter tuple with values 0..8 that a
+    # closed-form family accepts, so a series wrong only off the grid (as
+    # g_alpha's once was for k > p) shows here.
+    cells = 0
+    for family in qseries.CLOSED_FORMS:
+        names = families.get_spec(family).param_names
+        for values in itertools.product(range(9), repeat=len(names)):
+            params = dict(zip(names, values))
+            try:
+                families.normalize_params(family, params)
+            except DomainError:
+                continue
+            cells += 1
+            assert enum_values(family, 24, params) == series_for(family, params, 24).coeffs, (
+                family, params)
+    assert cells == 1459
 
 
 # Each signed count and each sum is one fold with a weight per parity; its

@@ -58,7 +58,7 @@ def test_stat_fold_transfer_matches_per_partition_sum():
     assert len(cells) == 54
     for family, params in cells:
         spec = families.get_spec(family)
-        fold = spec.make_fold(*families._spec_args(spec, params))
+        fold = spec.make_fold(**params)
         kind = families._enum_kind(spec, params)
         values = families.enum_values(family, 20, params)
         for n in range(21):
