@@ -4,14 +4,16 @@ All infinite products and sums are kept as truncations at a fixed order N;
 arithmetic never silently drops below the operands' common order.  The module
 also builds the closed-form generating functions of the counting families
 (``gf_family``).  Each is 1/(q;q)_inf or has one shape, a numerator
-(q^c; q^step)_inf times a Lambert-type sum, divided by (q;q)_inf: a dense
-numerator goes onto the sum one factor at a time, and the division groups
-(q;q)_inf's +-1 terms.
+(q^c; q^step)_inf times a Lambert-type sum, divided by (q;q)_inf, and is
+held as data in ``CLOSED_FORMS``: the sum's terms are ``lambert``'s
+arguments.  A dense numerator goes onto the sum one factor at a time, and
+the division groups (q;q)_inf's +-1 terms.
 """
 
 from __future__ import annotations
 
 import operator
+from functools import reduce
 from typing import Callable, Iterable, Mapping
 
 from . import numtheory
@@ -141,20 +143,22 @@ def pochhammer_plus(offset: int, step: int, order: int) -> Series:
     return times_pochhammer(Series.one(order), offset, step, plus=True)
 
 
-def lambert(offset: int, step: int, sign: int, order: int) -> Series:
-    """Sum over m >= 0 of q^e / (1 - sign*q^e) with e = offset + m*step.
+def lambert(offset: int, step: int, sign: int, order: int,
+            num: int = 1, den: int = 1, coef: int = 1) -> Series:
+    """coef times the sum over m >= 0 of q^(num*e) / (1 - sign*q^(den*e))
+    with e = offset + m*step.
 
     Each term expands as a geometric series; terms whose leading exponent
     exceeds the order are skipped.
     """
-    if offset < 1 or step < 1:
-        raise DomainError("lambert needs offset >= 1 and step >= 1")
+    if min(offset, step, num, den) < 1:
+        raise DomainError("lambert needs offset, step, num and den >= 1")
     if sign not in (1, -1):
         raise DomainError(f"lambert sign must be +1 or -1, got {sign}")
     c = [0] * (order + 1)
-    for e in range(offset, order + 1, step):
-        s = 1
-        for m in range(e, order + 1, e):
+    for e in range(offset, order // num + 1, step):
+        s = coef
+        for m in range(num * e, order + 1, den * e):
             c[m] += s
             s *= sign
     return Series(c)
@@ -186,62 +190,47 @@ def cube_series(order: int) -> Series:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form generating functions.  Every family except s = 1/(q;q)_inf is
-# (q^c; q^step)_inf * S / (q;q)_inf for a Lambert-type sum S, and its entry
-# in CLOSED_FORMS gives ((c, step), S) at an order.  With c = step the
-# numerator is the sparse pentagonal series in q^step, which mul takes; else
-# (d_o, f2, f_pkr/d_pkr with r != 0) times_pochhammer applies its factors to
-# S one by one.  (-q;q)_inf, for a, c, a_r and g_r, is (q^2;q^2)_inf/(q;q)_inf.
+# Closed-form generating functions, as data.  Every family except
+# s = 1/(q;q)_inf is (q^c; q^step)_inf * S / (q;q)_inf for a Lambert-type
+# sum S, and its entry in CLOSED_FORMS maps the cell's parameters to
+# ((c, step), terms): S is the sum of lambert(*term) over the terms, each
+# term being lambert's arguments less the order, (offset, step, sign[, num,
+# den[, coef]]).  With c = step the numerator is the sparse pentagonal
+# series in q^step, which mul takes; else (d_o, f2, f_pkr/d_pkr with r != 0)
+# times_pochhammer applies its factors to S one by one.  (-q;q)_inf, for a,
+# c, a_r and g_r, is (q^2;q^2)_inf/(q;q)_inf.
 # ---------------------------------------------------------------------------
 
-Form = tuple[tuple[int, int], Series]
+Form = tuple[tuple[int, int], tuple[tuple[int, ...], ...]]
 
 
-def _a_r(order: int, p: int, r: int) -> Form:
-    """Total count of parts in residue class -r mod p over distinct
-    partitions: (-q;q)_inf times a signed Lambert-type sum."""
-    return (2, 2), lambert(p - r, p, -1, order)
-
-
-def _h(order: int, p: int, i: int) -> Form:
-    """o_p_odd for i = p, o_p_even for i = 0."""
-    return (p, p), lambert(p if i == p else 2 * p, 2 * p, 1, order)
-
-
-def _f_pkr(order: int, p: int, k: int, r: int) -> Form:
+def _f_pkr(p: int, k: int, r: int) -> Form:
     # Singleton residue class k*r mod p*k; for r=0 the class starts at p*k.
     c = k * r if r else p * k
-    return (c, p * k), lambert(c, p * k, 1, order)
-
-
-def _heavy_parity(order: int, alpha: int, p: int, parity: int) -> Series:
-    """Sum over n >= 1 of parity n mod 2 of q^(alpha*n) / (1 - q^(p*n))."""
-    c = [0] * (order + 1)
-    for n in range(2 - parity, order // alpha + 1, 2):
-        for e in range(alpha * n, order + 1, p * n):
-            c[e] += 1
-    return Series(c)
+    return (c, p * k), ((c, p * k, 1),)
 
 
 # s maps to None: it is 1/(q;q)_inf, the inverse of the divisor.
 CLOSED_FORMS: dict[str, Callable[..., Form | None]] = {
-    "s": lambda order: None,
-    **dict.fromkeys(("a", "c"), lambda order: _a_r(order, 2, 0)),
-    **dict.fromkeys(("a_r", "g_r"), _a_r),
-    "a_np": lambda order, p: ((p, p), add(lambert(p, p, 1, order),
-                                          scale(lambert(p * p, p * p, 1, order), -p))),
-    "o_p": lambda order, p: _f_pkr(order, p, 1, 0),
-    "o_p_odd": lambda order, p: _h(order, p, p),
-    "o_p_even": lambda order, p: _h(order, p, 0),
-    "h": _h,
-    **dict.fromkeys(("d_e", "f0"), lambda order: _f_pkr(order, 2, 2, 0)),
-    **dict.fromkeys(("d_o", "f2"), lambda order: _f_pkr(order, 2, 2, 1)),
+    "s": lambda: None,
+    **dict.fromkeys(("a", "c"), lambda: ((2, 2), ((2, 2, -1),))),
+    # a_r: the parts in residue class -r mod p over distinct partitions.
+    **dict.fromkeys(("a_r", "g_r"), lambda p, r: ((2, 2), ((p - r, p, -1),))),
+    "a_np": lambda p: ((p, p), ((p, p, 1), (p * p, p * p, 1, 1, 1, -p))),
+    "o_p": lambda p: _f_pkr(p, 1, 0),
+    "o_p_odd": lambda p: ((p, p), ((p, 2 * p, 1),)),
+    "o_p_even": lambda p: ((p, p), ((2 * p, 2 * p, 1),)),
+    "h": lambda p, i: ((p, p), ((p if i == p else 2 * p, 2 * p, 1),)),
+    **dict.fromkeys(("d_e", "f0"), lambda: _f_pkr(2, 2, 0)),
+    **dict.fromkeys(("d_o", "f2"), lambda: _f_pkr(2, 2, 1)),
     **dict.fromkeys(("f_pkr", "d_pkr"), _f_pkr),
     # A heavy value j leaves q^(alpha j)/(1 - q^(pj)) past its bounded factor
-    # (1 - q^(kj))/(1 - q^j); for k > p every m >= alpha counts, so p becomes k.
-    "g_alpha": lambda order, alpha, k, p: ((k, k), lambert(alpha, max(p, k), -1, order)),
-    "g_alpha_odd": lambda order, alpha, k, p: ((k, k), _heavy_parity(order, alpha, max(p, k), 1)),
-    "g_alpha_even": lambda order, alpha, k, p: ((k, k), _heavy_parity(order, alpha, max(p, k), 0)),
+    # (1 - q^(kj))/(1 - q^j); for k > p every m >= alpha counts, so p becomes
+    # k.  The signed form sums over the multiplicity first, its odd and even
+    # pieces over j's parity: I14 checks that the two orders agree.
+    "g_alpha": lambda alpha, k, p: ((k, k), ((alpha, max(p, k), -1),)),
+    "g_alpha_odd": lambda alpha, k, p: ((k, k), ((1, 2, 1, alpha, max(p, k)),)),
+    "g_alpha_even": lambda alpha, k, p: ((k, k), ((2, 2, 1, alpha, max(p, k)),)),
 }
 
 
@@ -263,9 +252,10 @@ def gf_family(family: str, params: Mapping[str, int] | None = None, order: int =
         raise ResourceLimitError(
             f"series order {order} exceeds the bound {limit} (raise it via {MAX_ORDER_ENV_VAR})"
         )
-    shape = form(order, **(params or {}))
+    shape = form(**(params or {}))
     if shape is None:
         return inverse(pentagonal_series(order))
-    (c, step), total = shape
+    (c, step), terms = shape
+    total = reduce(add, (lambert(*term[:3], order, *term[3:]) for term in terms))
     total = mul(pentagonal_series(order, step), total) if c == step else times_pochhammer(total, c, step)
     return quotient(total, pentagonal_series(order))

@@ -318,15 +318,14 @@ def test_i10_counterexample_is_parity_sum_against_divisor_parity(engine, monkeyp
 
 
 def _bump_closed_form(monkeypatch, family, at):
-    """Add q^at to the family's Lambert-type sum: the series gains 1 at n = at."""
+    """Add q^at to the family's Lambert-type sum: the series gains 1 at n = at.
+    The added term's only exponent up to any allowed order is at."""
     original = qseries.CLOSED_FORMS[family]
+    far = qseries.DEFAULT_MAX_ORDER + 1
 
-    def bumped(order, **params):
-        numerator, total = original(order, **params)
-        coeffs = list(total.coeffs)
-        if at <= order:
-            coeffs[at] += 1
-        return numerator, qseries.Series(coeffs)
+    def bumped(**params):
+        numerator, terms = original(**params)
+        return numerator, (*terms, (at, far, 1, 1, far))
 
     monkeypatch.setitem(qseries.CLOSED_FORMS, family, bumped)
 
@@ -347,3 +346,25 @@ def test_i14_enum_engine_does_not_read_the_signed_series(monkeypatch):
     _bump_closed_form(monkeypatch, "g_alpha", 5)
     assert verify("I14", G_CELL, 30, "enum").holds
     assert not verify("I14", G_CELL, 30, "series").holds
+
+
+def test_series_groups_that_compare_one_closed_form():
+    # A series group whose two family sides map to equal CLOSED_FORMS data
+    # compares one series with itself and cannot fail.  Exactly I8's two
+    # groups and I11's fifteen cells are such groups; a series engine on a
+    # claim like I1 (a/c), I4 (a_r/g_r) or I7 (o_p pieces/h) would add more.
+    same = []
+    for spec in list_identities():
+        if "series" not in spec.engines:
+            continue
+        for cell in spec.cells():
+            for group in spec.sides(cell, "series"):
+                if len(group) != 2 or not all(isinstance(source, str) for source, _ in group):
+                    continue
+                (f, f_params), (g, g_params) = group
+                if qseries.CLOSED_FORMS[f](**(f_params or {})) == qseries.CLOSED_FORMS[g](**(g_params or {})):
+                    same.append((spec.id, format_params(cell), f, g))
+    i11_cells = identities.get_identity("I11").cells()
+    assert same == [("I8", "", "d_e", "f0"), ("I8", "", "d_o", "f2"),
+                    *(("I11", format_params(cell), "f_pkr", "d_pkr") for cell in i11_cells)]
+    assert len(same) == 17

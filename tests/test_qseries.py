@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import partlab
 from partlab import qseries
@@ -116,6 +116,27 @@ def test_lambert_validation():
         lambert(1, 1, 2, 5)
     with pytest.raises(DomainError):
         lambert(0, 1, 1, 5)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 9), st.integers(1, 9), st.sampled_from([1, -1]), st.integers(0, 50),
+       st.integers(1, 6), st.integers(1, 6), st.integers(-9, 9))
+def test_lambert_matches_schoolbook(offset, step, sign, order, num, den, coef):
+    # coef * q^(num*e) / (1 - sign*q^(den*e)) is the sum over j >= 0 of
+    # coef * sign^j * q^(e*(num + den*j)).
+    want = [0] * (order + 1)
+    for e in range(offset, order + 1, step):
+        for j in range(order + 1):
+            if e * (num + den * j) <= order:
+                want[e * (num + den * j)] += coef * sign ** j
+    assert lambert(offset, step, sign, order, num, den, coef).coeffs == tuple(want)
+
+
+def test_lambert_validation_of_num_and_den():
+    with pytest.raises(DomainError):
+        lambert(1, 1, 1, 5, num=0)
+    with pytest.raises(DomainError):
+        lambert(1, 1, 1, 5, den=0)
 
 
 @pytest.mark.parametrize("order", [7, 50, 200])
