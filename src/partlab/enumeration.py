@@ -11,7 +11,10 @@ point ``pair_sequences``:
   (lexicographically decreasing part sequences) so diffs stay stable.
 * Counting (a fold): ``_fold_transfer`` sums each family's per-pair fold
   over every partition of each weight 0..n by dynamic programming over fold
-  states, without visiting the partitions one by one.
+  states, without visiting the partitions one by one.  A state's counts by
+  weight are packed into one int, ``_slot_bits(n)`` bits per weight, a
+  width that holds p(n); so moving a row by one (part, mult) pair is one
+  shift, one mask and one add.
 
 Neither uses generating-function knowledge.
 """
@@ -19,6 +22,7 @@ Neither uses generating-function knowledge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Any, Callable, Iterable, Iterator
 
 from .errors import DomainError, ResourceLimitError
@@ -151,37 +155,65 @@ def generate(n: int, kind: EnumKind = ALL) -> Iterator[Partition]:
         yield raw(pairs, n)
 
 
+def _slot_bits(n: int) -> int:
+    """Bits per slot of a packed row in ``_fold_transfer`` to weight n.
+
+    A slot holds a count of partitions of some weight w <= n, so at most
+    p(w) <= p(n), and each of two bounds gives a width that holds p(n); the
+    smaller is taken.  First, p(w) <= 2^(w - 1) for w >= 1 (each partition
+    of w is read off a composition of w, and there are 2^(w - 1) of those),
+    and p(0) = 1, so n + 1 bits suffice.  Second, p(n) < e^(pi*sqrt(2n/3))
+    < 2^(3.71*sqrt(n)) for n >= 1 (Apostol, Introduction to Analytic Number
+    Theory, ch. 14), and 3.71*sqrt(n) < 4*isqrt(n) + 4, so 4*isqrt(n) + 4
+    bits suffice.  The width only sizes storage: no count is derived from
+    it.
+    """
+    return min(n + 1, 4 * isqrt(n) + 4)
+
+
 def _fold_transfer(n: int, bound: int | None, fold: Fold) -> tuple[int, ...]:
     """Sum of the fold's value over every constrained partition of each
     weight 0..n, by dynamic programming over fold states.
 
-    ``rows[state][w]`` counts the partitions of weight w into the parts seen
-    so far that reach ``state``.  Parts are taken from n down to 1, the order
-    the folds assume: multiplicity 0 keeps the state, and each multiplicity
-    m >= 1 adds the row, shifted by part * m, into the row of
-    ``step(state, part, m)``.  A dead step skips only that multiplicity,
-    since a larger one may qualify again.
+    ``rows[state]`` counts the partitions of each weight w into the parts
+    seen so far that reach ``state``, packed into one int: slot w, the bits
+    b*w .. b*w + b - 1 with b = ``_slot_bits(n)``, holds the count for
+    weight w.  Counts are never negative and never exceed p(n) < 2^b, so
+    adding two rows never carries from one slot into the next.  Parts are
+    taken from n down to 1, the order the folds assume: multiplicity 0 keeps
+    the state, and each multiplicity m >= 1 adds the row, shifted up by
+    part * m slots and cut at slot n, into the row of ``step(state, part,
+    m)``.  A dead step skips only that multiplicity, since a larger one may
+    qualify again.  The rows are summed per value and unpacked once at the
+    end; each partition reaches one state, so these sums fit their slots
+    too.
     """
     init, step, value = fold
-    rows = {init: [1] + [0] * n}
+    bits = _slot_bits(n)
+    width = bits * (n + 1)
+    mask = (1 << width) - 1
+    rows = {init: 1}
     for part in range(n, 0, -1):
         most = n // part if bound is None else min(n // part, bound)
-        merged = {state: row[:] for state, row in rows.items()}
+        shift = bits * part
+        merged = dict(rows)
         for state, row in rows.items():
-            low = next(w for w, count in enumerate(row) if count)
+            low = ((row & -row).bit_length() - 1) // bits  # least weight counted
             for mult in range(1, min(most, (n - low) // part) + 1):
                 nxt = step(state, part, mult)
                 if nxt is None:
                     continue
-                target = merged.get(nxt)
-                if target is None:
-                    merged[nxt] = target = [0] * (n + 1)
-                shift = part * mult
-                target[shift:] = [a + b for a, b in zip(target[shift:], row)]
+                merged[nxt] = merged.get(nxt, 0) + ((row << shift * mult) & mask)
         rows = merged
-    table = [0] * (n + 1)
+    by_worth: dict[int, int] = {}
     for state, row in rows.items():
         worth = value(state)
         if worth:
-            table = [t + worth * count for t, count in zip(table, row)]
+            by_worth[worth] = by_worth.get(worth, 0) + row
+    # Slot w is the run of binary digits that ends width - bits*w digits in:
+    # one conversion to text per row, linear in its length.
+    table = [0] * (n + 1)
+    for worth, row in by_worth.items():
+        digits = format(row, "b").zfill(width)
+        table = [t + worth * int(digits[at - bits:at], 2) for t, at in zip(table, range(width, 0, -bits))]
     return tuple(table)

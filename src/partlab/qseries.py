@@ -74,10 +74,6 @@ def add(a: Series, b: Series) -> Series:
     return Series(x + y for x, y in zip(a.coeffs, b.coeffs))
 
 
-def scale(a: Series, c: int) -> Series:
-    return Series(c * x for x in a.coeffs)
-
-
 def _terms(a: Series) -> list[tuple[int, int]]:
     """The (exponent, coefficient) pairs of a's nonzero coefficients."""
     return [(i, c) for i, c in enumerate(a.coeffs) if c]
@@ -175,17 +171,6 @@ def pentagonal_series(order: int, step: int = 1) -> Series:
         for e in (step * term.exponent_minus, step * term.exponent_plus):
             if e <= order:
                 c[e] += term.sign
-    return Series(c)
-
-
-def cube_series(order: int) -> Series:
-    """Theta-style expansion of the cube of the product of (1 - q^i):
-    coefficient (-1)^j (2j+1) at the triangular exponents j(j+1)/2."""
-    c = [0] * (order + 1)
-    j = 0
-    while j * (j + 1) // 2 <= order:
-        c[j * (j + 1) // 2] += (2 * j + 1) * (-1 if j % 2 else 1)
-        j += 1
     return Series(c)
 
 

@@ -112,3 +112,36 @@ def test_streaming_path_beyond_cache_limit():
     stream_count = sum(1 for _ in generate(n, DISTINCT))
     series = qseries.pochhammer_plus(1, 1, n)
     assert stream_count == series.coeffs[n]
+
+
+def test_slot_width_holds_every_partition_count():
+    # A packed row to weight n holds counts of at most p(n) partitions per
+    # slot, so p(n) must fit in _slot_bits(n) bits.
+    p = qseries.gf_family("s", {}, 10_000).coeffs
+    for n, count in enumerate(p):
+        assert count.bit_length() <= enumeration._slot_bits(n), n
+
+
+DEEP_CELLS = [
+    ("s", {}, 2000),
+    ("d_e", {}, 300),
+    ("a", {}, 300),
+    ("a_np", {"p": 5}, 300),
+    ("g_alpha_odd", {"alpha": 3, "k": 2, "p": 3}, 300),
+    ("f_pkr", {"p": 3, "k": 4, "r": 1}, 300),
+]
+
+
+@pytest.mark.parametrize("family,params,depth", DEEP_CELLS)
+def test_packed_counts_match_series_at_depth(monkeypatch, family, params, depth):
+    monkeypatch.setenv(enumeration.CAP_ENV_VAR, str(depth))
+    monkeypatch.setattr(families, "_enum_memo", {})
+    assert families.enum_values(family, depth, params) == families.series_for(family, params, depth).coeffs
+
+
+def test_too_narrow_slots_corrupt_the_counts(monkeypatch):
+    # Fault injection: slots too narrow for p(60) carry into their
+    # neighbours, and the depth checks above must see it.
+    monkeypatch.setattr(families, "_enum_memo", {})
+    monkeypatch.setattr(enumeration, "_slot_bits", lambda n: 8)
+    assert families.enum_values("s", 60) != families.series_for("s", {}, 60).coeffs

@@ -8,7 +8,6 @@ from partlab.numtheory import sigma0
 from partlab.qseries import (
     Series,
     add,
-    cube_series,
     gf_family,
     inverse,
     lambert,
@@ -17,9 +16,24 @@ from partlab.qseries import (
     pochhammer,
     pochhammer_plus,
     quotient,
-    scale,
     times_pochhammer,
 )
+
+
+def scale(a, c):
+    return Series(c * x for x in a.coeffs)
+
+
+def cube_series(order):
+    """Theta-style expansion of the cube of the product of (1 - q^i):
+    coefficient (-1)^j (2j+1) at the triangular exponents j(j+1)/2."""
+    c = [0] * (order + 1)
+    j = 0
+    while j * (j + 1) // 2 <= order:
+        c[j * (j + 1) // 2] += (2 * j + 1) * (-1 if j % 2 else 1)
+        j += 1
+    return Series(c)
+
 
 coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=12)
 
