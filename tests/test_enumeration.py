@@ -1,7 +1,7 @@
 import pytest
 
 from partlab import enumeration, families, qseries
-from partlab.enumeration import ALL, DISTINCT, generate, multiplicity_at_most
+from partlab.enumeration import ALL, DISTINCT, EnumKind, generate, multiplicity_at_most
 from partlab.errors import DomainError, ResourceLimitError
 from partlab.partition import Partition, format_partition
 
@@ -105,6 +105,23 @@ def test_negative_weight_rejected():
 def test_bad_bound_rejected():
     with pytest.raises(DomainError):
         multiplicity_at_most(0)
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_direct_construction_checks_the_bound(bound):
+    with pytest.raises(DomainError, match="multiplicity bound must be >= 1"):
+        EnumKind("x", bound)
+
+
+def test_enum_kind_record_contract():
+    assert EnumKind("x", None).bound is None
+    assert EnumKind(label="x", bound=2) == EnumKind("x", 2)
+    assert (multiplicity_at_most(3).label, multiplicity_at_most(3).bound) == ("multiplicity_at_most(3)", 3)
+    assert repr(DISTINCT) == "EnumKind(label='distinct', bound=1)"
+    assert repr(ALL) == "EnumKind(label='all', bound=None)"
+    for name in ("label", "bound"):
+        with pytest.raises(AttributeError):
+            setattr(DISTINCT, name, 2)
 
 
 def test_streaming_path_beyond_cache_limit():

@@ -56,6 +56,19 @@ def test_unknown_family():
         count_enum("nope", 3)
 
 
+def test_family_spec_record_contract():
+    spec = families.get_spec("d_pkr")
+    assert (spec.id, spec.kind, spec.param_names) == ("d_pkr", "class", ("p", "k", "r"))
+    bare = families.FamilySpec("x", "class", (), "no parameters", families._fold_all)
+    assert bare.validate is None and bare.enum_kind is None
+    assert repr(bare).startswith("FamilySpec(id='x', kind='class', param_names=(), description='no parameters', make_fold=")
+    assert repr(bare).endswith(", validate=None, enum_kind=None)")
+    for name in ("id", "kind", "param_names", "description", "make_fold", "validate", "enum_kind"):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, None)
+    assert families.get_spec("d_pkr").id == "d_pkr"
+
+
 def test_param_validation():
     with pytest.raises(DomainError):
         count_enum("a_r", 5, {"p": 2, "r": 1})  # needs p >= r + 2

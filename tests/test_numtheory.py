@@ -47,6 +47,15 @@ def test_pentagonal_terms_limits():
     assert twelve[-1] == PentagonalTerm(3, 12, 15, -1)
 
 
+def test_pentagonal_term_record_contract():
+    term = PentagonalTerm(j=2, exponent_minus=5, exponent_plus=7, sign=1)
+    assert term == PentagonalTerm(2, 5, 7, 1)
+    assert repr(term) == "PentagonalTerm(j=2, exponent_minus=5, exponent_plus=7, sign=1)"
+    for name in ("j", "exponent_minus", "exponent_plus", "sign"):
+        with pytest.raises(AttributeError):
+            setattr(term, name, 0)
+
+
 def test_pentagonal_exponents_increase():
     terms = pentagonal_terms(500)
     exponents = [e for t in terms for e in (t.exponent_minus, t.exponent_plus)]
