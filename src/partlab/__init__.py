@@ -3,6 +3,12 @@
 Every counting family is evaluable by two independent engines, an exhaustive
 enumeration oracle and a truncated formal power series, and every registered
 identity can be checked over a parameter grid with structured reports.
+
+``import partlab`` loads the counting and series layers only.  The identity
+layer (``partlab.identities`` and the process pool it runs cells on) loads
+the first time it or one of its exports (``verify``, ``verify_cells``,
+``list_identities``, ``IdentitySpec``, ``IdentityReport``) is read, through
+the module ``__getattr__`` (PEP 562).
 """
 
 from .enumeration import ALL, DISTINCT, EnumKind, generate, multiplicity_at_most
@@ -18,11 +24,13 @@ from .errors import (
 )
 # partlab.gf_family checks the cell first; qseries.gf_family does not.
 from .families import count_enum, count_series, recurrence_d_e, series_for as gf_family
-from .identities import IdentityReport, IdentitySpec, list_identities, verify, verify_cells
 from .partition import Partition, format_partition, parse_partition
 from .qseries import Series
 
 __version__ = "0.1.0"
+
+# Read off partlab.identities, which is imported on the first such read.
+_IDENTITY_EXPORTS = ("IdentityReport", "IdentitySpec", "list_identities", "verify", "verify_cells")
 
 __all__ = [
     "ALL",
@@ -53,3 +61,16 @@ __all__ = [
     "verify_cells",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name != "identities" and name not in _IDENTITY_EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    identities = import_module(".identities", __name__)
+    return identities if name == "identities" else getattr(identities, name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -21,9 +21,8 @@ Neither uses generating-function knowledge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, ResourceLimitError
 from .limits import resolve_limit
@@ -44,17 +43,23 @@ PairSeq = tuple[Pair, ...]
 Fold = tuple[Any, Callable[[Any, int, int], Any], Callable[[Any], int]]
 
 
-@dataclass(frozen=True)
-class EnumKind:
-    """Multiplicity constraint: ``bound`` is the largest multiplicity allowed
-    per part, or None for unrestricted."""
-
+class _EnumKindFields(NamedTuple):
     label: str
     bound: int | None
 
-    def __post_init__(self) -> None:
-        if self.bound is not None and self.bound < 1:
-            raise DomainError(f"multiplicity bound must be >= 1, got {self.bound}")
+
+class EnumKind(_EnumKindFields):
+    """Multiplicity constraint: ``bound`` is the largest multiplicity allowed
+    per part, or None for unrestricted.  An immutable record whose
+    construction rejects a bound below 1; a NamedTuple, not a dataclass, so
+    that importing the counting layer does not load ``dataclasses``."""
+
+    __slots__ = ()
+
+    def __new__(cls, label: str, bound: int | None) -> EnumKind:
+        if bound is not None and bound < 1:
+            raise DomainError(f"multiplicity bound must be >= 1, got {bound}")
+        return super().__new__(cls, label, bound)
 
 
 ALL = EnumKind("all", None)
@@ -72,6 +77,8 @@ def resolve_cap() -> int:
 
 
 def _check_request(n: int) -> None:
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise DomainError(f"partition weight {n!r} must be an integer")
     if n < 0:
         raise DomainError(f"partition weight must be nonnegative, got {n}")
     limit = resolve_cap()

@@ -9,9 +9,8 @@ enumeration, and a signed count (c, b, g_r, g_alpha) is a stat valued +-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from . import enumeration, numtheory, qseries
 from .enumeration import ALL, DISTINCT, EnumKind, Fold, multiplicity_at_most
@@ -100,8 +99,7 @@ def _fold_parts_in_residue(p: int, r: int) -> Fold:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     id: str
     kind: str  # "class" (value 0/1) | "stat" (any int; a signed count is +-1)
     param_names: tuple[str, ...]

@@ -3,8 +3,8 @@ the A(r)/B(r) index sets and the gamma correction term of the recurrence."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -32,8 +32,7 @@ def v2(n: int) -> int:
     return (n & -n).bit_length() - 1
 
 
-@dataclass(frozen=True)
-class PentagonalTerm:
+class PentagonalTerm(NamedTuple):
     """One index j of the pentagonal expansion, with its two exponents
     j(3j -+ 1)/2 and the sign (-1)^j."""
 

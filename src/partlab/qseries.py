@@ -230,6 +230,8 @@ def gf_family(family: str, params: Mapping[str, int] | None = None, order: int =
     form = CLOSED_FORMS.get(family)
     if form is None:
         raise UnsupportedFamilyError(f"family {family!r} has no closed-form generating function")
+    if not isinstance(order, int) or isinstance(order, bool):
+        raise DomainError(f"order {order!r} must be an integer")
     if order < 0:
         raise DomainError(f"order must be nonnegative, got {order}")
     limit = resolve_limit(MAX_ORDER_ENV_VAR, DEFAULT_MAX_ORDER)

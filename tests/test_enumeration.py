@@ -86,6 +86,17 @@ def test_cap_enforced_and_overridable(monkeypatch):
         list(generate(1, ALL))
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, "3", None, True, False])
+def test_non_integer_weight_rejected(n):
+    # Rejected before any arithmetic, as normalize_params rejects parameters.
+    with pytest.raises(DomainError, match="must be an integer"):
+        families.count_enum("s", n)
+    with pytest.raises(DomainError, match="must be an integer"):
+        list(generate(n))
+    with pytest.raises(DomainError, match="must be an integer"):
+        enumeration.pair_sequences(n, ALL)
+
+
 def test_cap_has_no_per_call_override():
     # PARTLAB_MAX_N is the only way to set the cap, and the fold is
     # keyword-only, so a stale positional cap is not taken as a fold.

@@ -94,6 +94,16 @@ def test_exported_gf_family_checks_the_cell(family, params, message):
         partlab.gf_family(family, params, 6)
 
 
+@pytest.mark.parametrize("order", [2.5, 10.0, "10", True])
+def test_non_integer_order_rejected(order):
+    with pytest.raises(DomainError, match="must be an integer"):
+        partlab.gf_family("s", None, order)
+    with pytest.raises(DomainError, match="must be an integer"):
+        qseries.gf_family("d_e", {}, order)
+    with pytest.raises(DomainError, match="must be an integer"):
+        count_series("s", order)
+
+
 def test_exported_gf_family_errors():
     assert partlab.gf_family("d_e", {}, 8) == qseries.gf_family("d_e", {}, 8)
     assert partlab.gf_family("s").order == qseries.DEFAULT_ORDER
