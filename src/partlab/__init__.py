@@ -66,9 +66,10 @@ __all__ = [
 def __getattr__(name: str):
     if name != "identities" and name not in _IDENTITY_EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
+    # Absolute, as "from . import identities" would ask this hook for the
+    # name again.
+    import partlab.identities as identities
 
-    identities = import_module(".identities", __name__)
     return identities if name == "identities" else getattr(identities, name)
 
 

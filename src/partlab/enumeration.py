@@ -61,6 +61,11 @@ class EnumKind(_EnumKindFields):
             raise DomainError(f"multiplicity bound must be >= 1, got {bound}")
         return super().__new__(cls, label, bound)
 
+    @classmethod
+    def _make(cls, iterable: Iterable) -> EnumKind:
+        # _replace builds through _make, which would skip the check.
+        return cls(*iterable)
+
 
 ALL = EnumKind("all", None)
 DISTINCT = EnumKind("distinct", 1)

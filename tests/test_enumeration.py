@@ -122,6 +122,8 @@ def test_bad_bound_rejected():
 def test_direct_construction_checks_the_bound(bound):
     with pytest.raises(DomainError, match="multiplicity bound must be >= 1"):
         EnumKind("x", bound)
+    with pytest.raises(DomainError, match="multiplicity bound must be >= 1"):
+        DISTINCT._replace(bound=bound)
 
 
 def test_enum_kind_record_contract():
