@@ -1,6 +1,8 @@
 """The acceptance suite: eight criteria covering the worked examples, the
 theorem grids, the series engine, the recurrences and the bijections.
 
+Criteria 1-3 compare tables of worked-example values; criteria 4-6 and 8
+name their claims and engine, and each claim runs to its default n_max.
 Each criterion returns a CriterionResult; ``run_all`` prints one pass/fail
 line per criterion.  The same functions back both ``partlab selftest`` and
 the pytest acceptance module.
@@ -52,6 +54,13 @@ def _reports_ok(notes: list[str], reports) -> bool:
     return not lines
 
 
+def _checks_ok(notes: list[str], checks: dict[str, tuple[object, object]]) -> bool:
+    """Note every check, label -> (got, want), whose value is not the one wanted."""
+    lines = [f"{label} = {got} != {want}" for label, (got, want) in checks.items() if got != want]
+    notes += lines
+    return not lines
+
+
 def criterion_1() -> CriterionResult:
     """Recurrence worked example: table value, recurrence value and the
     gamma/index-set intermediates at n = 8."""
@@ -62,26 +71,17 @@ def criterion_1() -> CriterionResult:
         buffer = io.StringIO()
         with redirect_stdout(buffer):
             code = cli.main(["table", "d_e", "8", "8", "--format", "csv"])
-        ok = True
-        if code != 0 or buffer.getvalue().strip() != "8,6":
-            notes.append(f"table d_e 8 8 gave exit={code}, out={buffer.getvalue()!r}")
-            ok = False
-        if families.recurrence_d_e(8) != 6:
-            notes.append(f"recurrence at 8 = {families.recurrence_d_e(8)} != 6")
-            ok = False
-        checks = {
+        (a8, b8), (a4, b4) = numtheory.sets_AB(8), numtheory.sets_AB(4)
+        return _checks_ok(notes, {
+            "table d_e 8 8 (exit, csv)": ((code, buffer.getvalue().strip()), (0, "8,6")),
+            "recurrence at 8": (families.recurrence_d_e(8), 6),
             "gamma(4)": (numtheory.gamma(4), 1),
             "gamma(8)": (numtheory.gamma(8), 1),
-            "A(8)": (numtheory.sets_AB(8)[0], frozenset({1})),
-            "B(8)": (numtheory.sets_AB(8)[1], frozenset({1})),
-            "A(4)": (numtheory.sets_AB(4)[0], frozenset()),
-            "B(4)": (numtheory.sets_AB(4)[1], frozenset({1})),
-        }
-        for label, (got, want) in checks.items():
-            if got != want:
-                notes.append(f"{label} = {got} != {want}")
-                ok = False
-        return ok
+            "A(8)": (a8, frozenset({1})),
+            "B(8)": (b8, frozenset({1})),
+            "A(4)": (a4, frozenset()),
+            "B(4)": (b4, frozenset({1})),
+        })
 
     return _run(1, "recurrence worked example at n=8", 1.0, body)
 
@@ -103,23 +103,14 @@ def criterion_2() -> CriterionResult:
     (p,k,r) = (3,4,1) and their stated images."""
 
     def body(notes: list[str]) -> bool:
-        expected = {parse_partition(t) for t in _CLASS_9_341}
-        got = set(families.enumerate_class("d_pkr", 9, {"p": 3, "k": 4, "r": 1}))
-        ok = True
-        if got != expected:
-            notes.append(f"class members differ: {sorted(map(str, got))}")
-            ok = False
+        members = families.enumerate_class("d_pkr", 9, {"p": 3, "k": 4, "r": 1})
+        checks = {"class members": (sorted(map(str, members)), sorted(_CLASS_9_341))}
         for source_text, image_text in _IMAGES_9_341.items():
             source = parse_partition(source_text)
             image = bijections.genr_d_to_f(3, 4, 1, source).output
-            if image != parse_partition(image_text):
-                notes.append(f"{source_text} mapped to {image}, expected {image_text}")
-                ok = False
-            back = bijections.genr_f_to_d(3, 4, 1, image).output
-            if back != source:
-                notes.append(f"inverse failed for {source_text}")
-                ok = False
-        return ok
+            checks[f"image of {source_text}"] = (image, parse_partition(image_text))
+            checks[f"round trip of {source_text}"] = (bijections.genr_f_to_d(3, 4, 1, image).output, source)
+        return _checks_ok(notes, checks)
 
     return _run(2, "heavy-part worked example at n=9, (p,k,r)=(3,4,1)", 1.0, body)
 
@@ -137,25 +128,14 @@ def criterion_3() -> CriterionResult:
     def body(notes: list[str]) -> bool:
         source = parse_partition(_DPK_INPUT)
         trace = bijections.dpk_to_dp(3, 4, source)
-        ok = True
-        if trace.output != parse_partition(_DPK_OUTPUT):
-            notes.append(f"output {trace.output} != {_DPK_OUTPUT}")
-            ok = False
-        if trace.output.weight != source.weight:
-            notes.append("weight not preserved")
-            ok = False
-        step_values = {str(s.value) for s in trace.steps}
-        if "21^8" not in step_values:
-            notes.append("trace misses the converted block 21^8")
-            ok = False
-        if "6^2" not in step_values:
-            notes.append("trace misses the merged block 6^2")
-            ok = False
-        back = bijections.dp_to_dpk(3, 4, trace.output)
-        if back.output != source:
-            notes.append(f"inverse gave {back.output}")
-            ok = False
-        return ok
+        blocks = {str(step.value) for step in trace.steps}
+        return _checks_ok(notes, {
+            "output": (trace.output, parse_partition(_DPK_OUTPUT)),
+            "output weight": (trace.output.weight, source.weight),
+            "converted block 21^8 traced": ("21^8" in blocks, True),
+            "merged block 6^2 traced": ("6^2" in blocks, True),
+            "inverse": (bijections.dp_to_dpk(3, 4, trace.output).output, source),
+        })
 
     return _run(3, "heavy-multiplicity worked example at n=433, (p,k)=(3,4)", 1.0, body)
 
@@ -164,37 +144,26 @@ def criterion_4() -> CriterionResult:
     """Theorem suite on the enumeration engine."""
 
     def body(notes: list[str]) -> bool:
-        reports = []
-        reports += identities.verify_cells(["I1", "I2", "I3"], n_max=40, engine="enum")
-        reports += identities.verify_cells(["I4"], n_max=30, engine="enum")
-        reports += identities.verify_cells(["I8", "I12"], n_max=40, engine="enum")
-        reports += identities.verify_cells(["I11", "I13"], n_max=30, engine="enum")
-        reports += identities.verify_cells(["I16"], n_max=40, engine="enum")
-        return _reports_ok(notes, reports)
+        ids = ["I1", "I2", "I3", "I4", "I8", "I11", "I12", "I13", "I16"]
+        return _reports_ok(notes, identities.verify_cells(ids, engine="enum"))
 
     return _run(4, "theorem suite via enumeration", 600.0, body)
 
 
 def criterion_5() -> CriterionResult:
-    """Series engine suite: oracle/series agreement plus the congruence and
-    series-identity checks at order 200."""
+    """Series engine suite: oracle/series agreement to n = 40 plus the
+    congruence and series-identity checks at the default order."""
 
     def body(notes: list[str]) -> bool:
-        ok = True
         for family, params in families.closed_form_cells():
-            series = families.series_for(family, params)
-            values = families.enum_values(family, 40, params)
-            for n in range(41):
-                enum_value = values[n]
-                if enum_value != series.coeffs[n]:
-                    notes.append(f"{family} {params} disagrees at n={n}: "
-                                 f"enum={enum_value} series={series.coeffs[n]}")
-                    ok = False
-                    break
-        reports = identities.verify_cells(["I5", "I6"], n_max=200, engine="series")
-        reports += identities.verify_cells(["I14"], n_max=200, engine="series")
-        reports += identities.verify_cells(["I14"], n_max=30, engine="enum")
-        return _reports_ok(notes, reports) and ok
+            enum, series = (families.values(family, 40, params, e) for e in ("enum", "series"))
+            if enum != series:
+                n = next(n for n in range(41) if enum[n] != series[n])
+                notes.append(f"{family} {params} disagrees at n={n}: enum={enum[n]} series={series[n]}")
+        agree = not notes
+        reports = identities.verify_cells(["I5", "I6", "I14"], engine="series")
+        reports += identities.verify_cells(["I14"], engine="enum")
+        return _reports_ok(notes, reports) and agree
 
     return _run(5, "series engine suite and oracle agreement", 120.0, body)
 
@@ -203,8 +172,7 @@ def criterion_6() -> CriterionResult:
     """Recurrence and parity corollaries up to n = 60."""
 
     def body(notes: list[str]) -> bool:
-        reports = identities.verify_cells(["I9", "I10"], n_max=60, engine="enum")
-        return _reports_ok(notes, reports)
+        return _reports_ok(notes, identities.verify_cells(["I9", "I10"], engine="enum"))
 
     return _run(6, "recurrence and parity corollaries to n=60", 300.0, body)
 
@@ -245,10 +213,10 @@ def criterion_8() -> CriterionResult:
     """Parity-piece identities plus the orientation adjudication."""
 
     def body(notes: list[str]) -> bool:
-        reports = identities.verify_cells(["I7", "I15"], n_max=30, engine="enum")
+        reports = identities.verify_cells(["I7", "I15"], engine="enum")
         ok = _reports_ok(notes, reports)
         for p, verdict in identities.orientation_verdicts(reports).items():
-            notes.append(f"orientation verdict for p={p}: {verdict}")
+            notes.append(f"orientation verdict (p={p}): {verdict}")
         return ok
 
     return _run(8, "parity-piece grid and orientation adjudication", 300.0, body)
