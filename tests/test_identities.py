@@ -368,3 +368,54 @@ def test_series_groups_that_compare_one_closed_form():
     assert same == [("I8", "", "d_e", "f0"), ("I8", "", "d_o", "f2"),
                     *(("I11", format_params(cell), "f_pkr", "d_pkr") for cell in i11_cells)]
     assert len(same) == 17
+
+
+def _default_cells(keep=lambda spec, cell: True):
+    """(id, params) of every default cell that ``keep`` accepts, in registry
+    order and, within an identity, by params."""
+    return [(spec.id, cell) for spec in list_identities() for cell in sorted(spec.grid)
+            if keep(spec, cell)]
+
+
+P2, P3 = (("p", 2),), (("p", 3),)
+
+
+@pytest.mark.parametrize("args, kwargs, expected", [
+    ((None,), {}, _default_cells()),
+    ((["I16", "I1"],), {}, [("I1", ()), *(("I16", (("t", t),)) for t in (2, 3, 4, 5))]),
+    ((["I15-swapped"],), {}, [("I15", P2), ("I15", P3), ("I15-swapped", P2), ("I15-swapped", P3)]),
+    ((None, {"p": 3}), {}, _default_cells(lambda spec, cell: dict(cell).get("p") == 3)),
+    ((None,), {"engine": "series"},
+     _default_cells(lambda spec, cell: spec.id in ("I5", "I6", "I8", "I10", "I11", "I14"))),
+    ((None,), {"n_max": 3}, _default_cells(lambda spec, cell: spec.id != "I6")),
+    ((["I6"],), {"n_max": 5}, [("I6", (("offset", 4), ("p", 5))), ("I6", (("offset", 5), ("p", 7)))]),
+    (([],), {}, []),
+])
+def test_selection_contract(args, kwargs, expected, monkeypatch):
+    # Which cells a request selects, and in what order; no relation runs.
+    monkeypatch.setattr(identities, "_run_relation", lambda *a: None)
+    assert [(r.id, r.params) for r in verify_cells(*args, **kwargs)] == expected
+
+
+def test_selection_contract_sizes():
+    assert len(_default_cells()) == 62
+    assert len(_default_cells(lambda spec, cell: dict(cell).get("p") == 3)) == 21
+    assert len(_default_cells(lambda spec, cell: spec.id != "I6")) == 59
+
+
+@pytest.mark.parametrize("args, kwargs, error, message", [
+    ((["I99"],), {}, UnknownIdentityError, "unknown identity 'I99'"),
+    ((["I1"],), {"engine": "series"}, DomainError, "I1 supports engines ('enum',), got 'series'"),
+    ((["I1"], {"p": 3}), {}, DomainError, "I1 has no grid cell matching {'p': 3}; valid cells: ['-']"),
+    ((["I6"],), {"n_max": 3}, DomainError,
+     "I6 p=5,offset=4 checks no n up to n_max=3: its first checked index is 4"),
+    ((None, {"p": 99}), {}, DomainError, "no identity has a grid cell matching {'p': 99}"),
+    ((None, {"t": 3}), {"engine": "series"}, DomainError,
+     "no identity that runs engine 'series' has a grid cell matching {'t': 3}"),
+    ((None,), {"jobs": 0}, DomainError, "jobs must be >= 1, got 0"),
+])
+def test_selection_contract_errors(args, kwargs, error, message, monkeypatch):
+    monkeypatch.setattr(identities, "_run_relation", lambda *a: None)
+    with pytest.raises(error) as caught:
+        verify_cells(*args, **kwargs)
+    assert type(caught.value) is error and str(caught.value) == message
