@@ -302,23 +302,34 @@ def _resolve_n_max(spec: IdentitySpec, engine: str, n_max: int | None) -> int:
 
 
 def _match_cell(spec: IdentitySpec, params: Mapping[str, int] | None,
-                n_max: int | None, strict: bool = True) -> list[Params]:
+                n_max: int | None) -> list[Params]:
     """The grid cells matching ``params``, less the congruence cells whose
-    first checked n, the offset, is past ``n_max``.  The default n_max
-    (None) reaches every offset."""
+    first checked n, the offset, is past ``n_max``; an error if none is
+    left.  The default n_max (None) reaches every offset."""
     cells = spec.cells()
     matched = [cell for cell in cells if all(cell.get(k) == v for k, v in (params or {}).items())]
-    reached = [cell for cell in matched
-               if spec.kind != "congruence" or n_max is None or cell["offset"] <= n_max]
-    if strict and not matched:
+    if not matched:
         raise DomainError(
             f"{spec.id} has no grid cell matching {dict(params)!r}; "
             f"valid cells: {[format_params(c) or '-' for c in cells]}"
         )
-    if strict and not reached:
+    reached = [cell for cell in matched
+               if spec.kind != "congruence" or n_max is None or cell["offset"] <= n_max]
+    if not reached:
         raise DomainError(f"{spec.id} {format_params(matched[0])} checks no n up to n_max={n_max}: "
                           f"its first checked index is {matched[0]['offset']}")
     return reached
+
+
+def _engines(spec: IdentitySpec, engine: str | None) -> tuple[str, ...]:
+    """The engines a run uses: the default for None, every allowed engine
+    for "both", else ``engine`` if the identity allows it."""
+    chosen = engine or spec.default_engine
+    if chosen == "both":
+        return spec.engines
+    if chosen not in spec.engines:
+        raise DomainError(f"{spec.id} supports engines {spec.engines}, got {chosen!r}")
+    return (chosen,)
 
 
 def verify(identity_id: str, params: Mapping[str, int] | None = None,
@@ -336,15 +347,7 @@ def verify(identity_id: str, params: Mapping[str, int] | None = None,
             f"{len(matched)} grid cells; use verify_cells for sweeps"
         )
     cell = matched[0]
-    chosen = engine or spec.default_engine
-    if chosen == "both":
-        engines = spec.engines
-    elif chosen in spec.engines:
-        engines = (chosen,)
-    else:
-        raise DomainError(
-            f"{identity_id} supports engines {spec.engines}, got {chosen!r}"
-        )
+    engines = _engines(spec, engine)
     start = time.perf_counter()
     counterexample = None
     used_n_max = 0
@@ -363,7 +366,7 @@ def verify(identity_id: str, params: Mapping[str, int] | None = None,
         id=identity_id,
         params=tuple(sorted(cell.items())),
         n_max=used_n_max,
-        engine=chosen,
+        engine=engine or spec.default_engine,
         status="fails" if counterexample else "holds",
         counterexample=counterexample,
         ms=ms,
@@ -382,62 +385,61 @@ def verify_cells(ids: Iterable[str] | None = None,
                  jobs: int = 1) -> list[IdentityReport]:
     """Verify every matching grid cell of the requested identities.
 
-    Requesting either orientation of the adjudicated pair pulls in the other
-    so the exactly-one-holds rule can be applied.  Output order is by
-    (identity, parameters) regardless of completion order.  A sweep of every
-    identity (``ids`` None) fails only when no identity has a matching cell.
+    Either orientation of the adjudicated pair pulls in the other, so the
+    exactly-one-holds rule can be applied; a repeated id runs once.  Output
+    is in (identity, parameters) order.  A sweep of every identity (``ids``
+    None) skips the identities that cannot run the engine or have no
+    matching cell that n_max reaches, and fails only when none is left.
     ``jobs`` (>= 1) caps the worker processes, which are also capped by the
     CPU count and the number of cells.
     """
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
-    sweep_all = ids is None
-    wanted = list(ids) if ids is not None else list(_REGISTRY)
-    for identity_id in wanted:
-        get_identity(identity_id)
-    if any(i in I15_PAIR for i in wanted):
-        for twin in I15_PAIR:
-            if twin not in wanted:
-                wanted.append(twin)
-    order = {identity_id: pos for pos, identity_id in enumerate(_REGISTRY)}
+    wanted = set(_REGISTRY) if ids is None else {get_identity(i).id for i in ids}
+    if not wanted.isdisjoint(I15_PAIR):
+        wanted.update(I15_PAIR)
     tasks = []
-    for identity_id in wanted:
-        spec = get_identity(identity_id)
-        # A blanket request skips identities that cannot run the engine or
-        # have no matching cell that n_max reaches; explicitly requested ids
-        # still error.
-        if sweep_all and engine not in (None, "both", *spec.engines):
+    for spec in _REGISTRY.values():
+        if spec.id not in wanted:
             continue
-        for cell in _match_cell(spec, params, n_max, strict=not sweep_all):
-            tasks.append((identity_id, tuple(sorted(cell.items())), n_max, engine))
-    if not tasks and sweep_all:
+        try:
+            cells = _match_cell(spec, params, n_max)
+            _engines(spec, engine)
+        except DomainError:
+            if ids is not None:
+                raise
+            continue
+        tasks += [(spec.id, cell, n_max, engine) for cell in sorted(tuple(sorted(c.items())) for c in cells)]
+    if not tasks and ids is None:
         runs = f" that runs engine {engine!r}" if engine not in (None, "both") else ""
         reach = f" with a checked index up to n_max={n_max}" if n_max is not None else ""
         raise DomainError(f"no identity{runs} has a grid cell matching {dict(params or {})!r}{reach}")
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_verify_job, tasks))
-    else:
-        reports = [_verify_job(task) for task in tasks]
-    reports.sort(key=lambda r: (order[r.id], r.params))
-    return reports
+            return list(pool.map(_verify_job, tasks))
+    return [_verify_job(task) for task in tasks]
+
+
+def _orientations(reports: Iterable[IdentityReport]) -> dict[int, dict[str, bool]]:
+    """Whether each reported orientation of the adjudicated pair holds, by p."""
+    paired: dict[int, dict[str, bool]] = {}
+    for r in reports:
+        if r.id in I15_PAIR:
+            paired.setdefault(dict(r.params)["p"], {})[r.id] = r.holds
+    return dict(sorted(paired.items()))
 
 
 def failures(reports: Iterable[IdentityReport]) -> list[str]:
     """One line per failure: each failing report outside the adjudicated
     pair, with its first counterexample, then each p at which not exactly
     one orientation of the pair holds (so a lone orientation must hold)."""
-    lines = []
-    paired: dict[int, dict[str, bool]] = {}
-    for r in reports:
-        if r.id in I15_PAIR:
-            paired.setdefault(dict(r.params)["p"], {})[r.id] = r.holds
-        elif not r.holds:
-            ce = r.counterexample
-            lines.append(f"{r.id} {dict(r.params)} fails at n={ce.n}: lhs={ce.lhs} rhs={ce.rhs}")
+    reports = list(reports)
+    lines = [f"{r.id} {dict(r.params)} fails at n={r.counterexample.n}: "
+             f"lhs={r.counterexample.lhs} rhs={r.counterexample.rhs}"
+             for r in reports if not r.holds and r.id not in I15_PAIR]
     return lines + [f"expected exactly one orientation to hold for p={p}"
-                    for p, holds in sorted(paired.items()) if sum(holds.values()) != 1]
+                    for p, holds in _orientations(reports).items() if sum(holds.values()) != 1]
 
 
 _VERDICTS = {(True, True): "both", (True, False): "printed",
@@ -448,10 +450,8 @@ def orientation_verdicts(reports: Iterable[IdentityReport]) -> dict[int, str]:
     """Which orientation of the proposition about the heavy-part parity
     pieces holds, per p with reports for both: 'printed', 'swapped', 'both'
     or 'neither'.  Sorted by p."""
-    holds = {(r.id, dict(r.params)["p"]): r.holds for r in reports if r.id in I15_PAIR}
-    return {p: _VERDICTS[printed, holds["I15-swapped", p]]
-            for (rid, p), printed in sorted(holds.items())
-            if rid == "I15" and ("I15-swapped", p) in holds}
+    return {p: _VERDICTS[holds["I15"], holds["I15-swapped"]]
+            for p, holds in _orientations(reports).items() if len(holds) == 2}
 
 
 # ---------------------------------------------------------------------------

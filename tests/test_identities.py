@@ -419,3 +419,11 @@ def test_selection_contract_errors(args, kwargs, error, message, monkeypatch):
     with pytest.raises(error) as caught:
         verify_cells(*args, **kwargs)
     assert type(caught.value) is error and str(caught.value) == message
+
+
+@pytest.mark.parametrize("ids, expected", [
+    (["I1", "I1"], [("I1", ())]),
+    (["I15", "I15-swapped", "I15"], [("I15", P2), ("I15", P3), ("I15-swapped", P2), ("I15-swapped", P3)]),
+])
+def test_repeated_id_runs_once(ids, expected):
+    assert [(r.id, r.params) for r in verify_cells(ids, n_max=10)] == expected
