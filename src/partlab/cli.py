@@ -15,7 +15,7 @@ import json
 import sys
 from typing import Sequence
 
-from . import bijections, families, identities
+from . import bijections, families
 from .errors import DomainError, PartlabError, ResourceLimitError
 from .partition import format_partition, parse_partition
 
@@ -27,7 +27,7 @@ EXIT_DOMAIN = 4
 
 
 def _collect_params(args: argparse.Namespace) -> dict[str, int]:
-    return {name: getattr(args, name) for name in identities.PARAM_NAMES
+    return {name: getattr(args, name) for name in families.PARAM_NAMES
             if getattr(args, name, None) is not None}
 
 
@@ -73,6 +73,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import identities
+
     if args.n_max is not None and args.n_max < 1:
         raise _UsageError(f"--n-max must be >= 1, got {args.n_max}")
     ids = None if args.identity == "all" else [args.identity]
@@ -132,8 +134,20 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAIL
 
 
+class _IdentityIdsHelp(argparse.HelpFormatter):
+    """Fills the identity ids into ``verify``'s help only when it prints, so
+    the commands that verify nothing never load the identity layer."""
+
+    def _get_help_string(self, action: argparse.Action) -> str | None:
+        if action.dest != "identity":
+            return action.help
+        from . import identities
+
+        return action.help.format(ids=", ".join(identities.identity_ids()))
+
+
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
-    for name in identities.PARAM_NAMES:
+    for name in families.PARAM_NAMES:
         parser.add_argument(f"--{name}", type=int, default=None,
                             help=f"family/identity parameter {name}")
 
@@ -154,9 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--format", choices=("csv", "json", "pretty"), default="csv")
     p_table.set_defaults(func=_cmd_table)
 
-    p_verify = sub.add_parser("verify", help="check registered identities")
-    p_verify.add_argument("identity",
-                          help=f"identity id ({', '.join(identities.identity_ids())}) or 'all'")
+    p_verify = sub.add_parser("verify", help="check registered identities",
+                              formatter_class=_IdentityIdsHelp)
+    p_verify.add_argument("identity", help="identity id ({ids}) or 'all'")
     _add_param_flags(p_verify)
     p_verify.add_argument("--n-max", type=int, default=None)
     p_verify.add_argument("--engine", choices=("enum", "series", "both"), default=None)

@@ -20,6 +20,10 @@ from .partition import Pair, Partition
 Params = Mapping[str, int]
 PairSeq = tuple[Pair, ...]
 
+# Every family, identity and bijection parameter name, in report order; the
+# CLI takes one flag per name.
+PARAM_NAMES = ("t", "p", "k", "r", "i", "alpha", "offset")
+
 
 # ---------------------------------------------------------------------------
 # One fold per family over (part, mult) pairs in decreasing part order

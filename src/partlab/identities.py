@@ -22,9 +22,6 @@ from .errors import DomainError, UnknownIdentityError
 
 Params = dict[str, int]
 
-# Every parameter name, in report order; the CLI takes one flag per name.
-PARAM_NAMES = ("t", "p", "k", "r", "i", "alpha", "offset")
-
 
 @dataclass(frozen=True)
 class Counterexample:
@@ -90,7 +87,8 @@ class IdentityReport:
 
 
 def format_params(params: Mapping[str, int], sep: str = ",") -> str:
-    keys = sorted(params, key=lambda k: (PARAM_NAMES.index(k) if k in PARAM_NAMES else 99, k))
+    names = families.PARAM_NAMES
+    keys = sorted(params, key=lambda k: (names.index(k) if k in names else 99, k))
     return sep.join(f"{k}={params[k]}" for k in keys)
 
 

@@ -405,3 +405,10 @@ def test_map_json_for_every_map(capsys, flags, source, image, inverse):
 def test_map_glaisher_json_has_no_steps(capsys):
     _, out, _ = run(capsys, "map", "glaisher", "--t", "2", "--format", "json", "4,2")
     assert out.strip() == '{"input": "4,2", "output": "1^6", "steps": []}'
+
+
+def test_verify_help_lists_every_identity(capsys):
+    code, out, _ = run(capsys, "verify", "--help")
+    ids = identities.identity_ids()
+    assert code == 0 and len(ids) == 17
+    assert f"identity id ({', '.join(ids)}) or 'all'" in " ".join(out.split())

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import partlab
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -68,3 +70,16 @@ def test_lazy_exports_are_the_identity_layer_names():
     for name in ("IdentityReport", "IdentitySpec", "list_identities", "verify", "verify_cells"):
         assert getattr(partlab, name) is getattr(identities, name)
     assert partlab.identities is identities
+
+
+@pytest.mark.parametrize("argv", [["table", "s", "0", "3"], ["map", "glaisher", "--t", "2", "4,2"]])
+def test_cli_commands_that_verify_nothing_leave_the_identity_layer_unloaded(argv):
+    got = run_fresh(f"""
+import contextlib, io, json, sys
+from partlab import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main({argv!r})
+loaded = [name for name in ("partlab.identities", "concurrent.futures") if name in sys.modules]
+print(json.dumps({{"code": code, "loaded": loaded}}))
+""")
+    assert got == {"code": 0, "loaded": []}
