@@ -135,15 +135,13 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
 
 class _IdentityIdsHelp(argparse.HelpFormatter):
-    """Fills the identity ids into ``verify``'s help only when it prints, so
-    the commands that verify nothing never load the identity layer."""
+    """Reads the identity ids only when ``verify``'s help prints, so the
+    other commands never load the identity layer."""
 
-    def _get_help_string(self, action: argparse.Action) -> str | None:
-        if action.dest != "identity":
-            return action.help
+    def _get_help_string(self, action: argparse.Action) -> str:
         from . import identities
 
-        return action.help.format(ids=", ".join(identities.identity_ids()))
+        return action.help.replace("{ids}", ", ".join(identities.identity_ids()))
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
