@@ -8,7 +8,8 @@ image is built by one validating ``Partition(...)`` call, which is the
 sweep's structural check on it.  Only when its caller passes a ``steps``
 list does a core wrap the same intermediates, sorted, as ``TraceStep``
 values.  Cores check no class.  The public splitting maps ``glaisher`` and
-``glaisher_inv`` are their input checks plus one helper call.
+``glaisher_inv`` are their input checks plus one helper call; the glaisher
+entry of ``BIJECTIONS`` calls them, so they check each input untraced too.
 
 ``BIJECTIONS`` declares every map once, keyed by the name that
 ``partlab map`` and the exhaustive sweep use (glaisher, genr, dpk, var0).
@@ -17,8 +18,8 @@ class pair of a cell and its two cores, as functions of (cell, partition,
 steps).  ``trace`` is the only code that checks a map's classes and frames
 a ``BijectionTrace``; ``partlab map`` and the public maps (``genr_f_to_d``,
 ``dpk_to_dp``, ...) call it.  ``exhaustive_cell_check`` sweeps one (map,
-cell, weight) through the untraced cores: it enumerates only the domain
-class and checks the codomain by its membership predicate and its count.
+cell, weight) untraced: it enumerates only the domain class and checks the
+codomain by its membership predicate and its count.
 """
 
 from __future__ import annotations
@@ -372,13 +373,15 @@ def exhaustive_cell_check(name: str, params: Cell, n: int) -> list[str]:
     weight n, with one pass over the domain class D.  Returns failure
     descriptions (empty list means the cell passed).
 
-    The codomain class C is never enumerated, and the maps run as untraced
-    cores that check no class themselves.  Each image's weight is computed
-    from its pairs (a map may declare a weight it does not have), the image
-    must satisfy C's membership predicate, and no image may repeat.  Then
-    ``forward`` maps D_n injectively into C_n, and |image| = |C_n|, read off
-    C's counting table, makes it onto.  ``inverse(forward(x)) = x`` on every
-    x makes ``inverse`` its inverse on C_n.
+    The codomain class C is never enumerated, and the maps run untraced:
+    the genr, dpk and var0 cores check no class, and the glaisher entry's
+    ``glaisher``/``glaisher_inv`` check only their input.  Each image's
+    weight is computed from its pairs (a map may declare a weight it does
+    not have), the image must satisfy C's membership predicate, and no
+    image may repeat.  Then ``forward`` maps D_n injectively into C_n, and
+    |image| = |C_n|, read off C's counting table, makes it onto.
+    ``inverse(forward(x)) = x`` on every x makes ``inverse`` its inverse on
+    C_n.
     """
     entry = get_bijection(name, params)
     (domain_family, domain_params), (codomain_family, codomain_params) = entry.classes(params)
