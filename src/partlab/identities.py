@@ -407,7 +407,8 @@ def verify_cells(ids: Iterable[str] | None = None,
             if ids is not None:
                 raise
             continue
-        tasks += [(spec.id, cell, n_max, engine) for cell in sorted(tuple(sorted(c.items())) for c in cells)]
+        tasks += [(spec.id, cell, n_max, engine)
+                  for cell in sorted(tuple(sorted(c.items())) for c in cells)]
     if not tasks and ids is None:
         runs = f" that runs engine {engine!r}" if engine not in (None, "both") else ""
         reach = f" with a checked index up to n_max={n_max}" if n_max is not None else ""
