@@ -13,20 +13,18 @@ from __future__ import annotations
 import io
 import time
 from contextlib import redirect_stdout
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import bijections, families, identities, numtheory
 from .partition import parse_partition
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     title: str
     passed: bool
     seconds: float
-    notes: list[str] = field(default_factory=list)
+    notes: tuple[str, ...] = ()
 
     def line(self) -> str:
         state = "PASS" if self.passed else "FAIL"
@@ -45,7 +43,7 @@ def _run(number: int, title: str, budget: float, body: Callable[[list[str]], boo
     if ok and elapsed > budget:
         notes.append(f"time budget exceeded: {elapsed:.1f}s > {budget:.0f}s")
         ok = False
-    return CriterionResult(number, title, ok, elapsed, notes)
+    return CriterionResult(number, title, ok, elapsed, tuple(notes))
 
 
 def _reports_ok(notes: list[str], reports) -> bool:

@@ -24,8 +24,7 @@ codomain by its membership predicate and its count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import families
 from .errors import DomainError, PartlabError
@@ -36,14 +35,12 @@ class LemmaViolation(PartlabError, RuntimeError):
     """Internal divisibility guarantee failed; signals a defect, not bad input."""
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     label: str
     value: Partition
 
 
-@dataclass(frozen=True)
-class BijectionTrace:
+class BijectionTrace(NamedTuple):
     input: Partition
     output: Partition
     steps: tuple[TraceStep, ...]
@@ -310,8 +307,7 @@ Cell = dict[str, int]
 ClassRef = tuple[str, Cell]
 
 
-@dataclass(frozen=True)
-class Bijection:
+class Bijection(NamedTuple):
     """One map: its cell's parameter names, a cell's (domain, codomain)
     classes and both directions as cores of (cell, partition, steps=None)
     that return the image.  A bare map's trace holds no steps at all."""

@@ -51,8 +51,7 @@ class _EnumKindFields(NamedTuple):
 class EnumKind(_EnumKindFields):
     """Multiplicity constraint: ``bound`` is the largest multiplicity allowed
     per part, or None for unrestricted.  An immutable record whose
-    construction rejects a bound below 1; a NamedTuple, not a dataclass, so
-    that importing the counting layer does not load ``dataclasses``."""
+    construction rejects a bound below 1."""
 
     __slots__ = ()
 

@@ -13,9 +13,8 @@ import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
 from io import StringIO
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import enumeration, families, numtheory, qseries
 from .errors import DomainError, UnknownIdentityError
@@ -23,8 +22,7 @@ from .errors import DomainError, UnknownIdentityError
 Params = dict[str, int]
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     n: int
     lhs: int
     rhs: int
@@ -36,8 +34,7 @@ SequenceFn = Callable[[Params | None, str, int], Sequence[int]]
 Side = tuple[str | SequenceFn, Params | None]
 
 
-@dataclass(frozen=True)
-class IdentitySpec:
+class IdentitySpec(NamedTuple):
     """One registered claim.
 
     ``sides`` gives, for a grid cell and an engine, the groups of sides
@@ -71,8 +68,7 @@ class IdentitySpec:
         return self.engines[0]
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     id: str
     params: tuple[tuple[str, int], ...]
     n_max: int
@@ -459,7 +455,9 @@ def orientation_verdicts(reports: Iterable[IdentityReport]) -> dict[int, str]:
 
 
 def report_to_dict(report: IdentityReport) -> dict:
-    return {**asdict(report), "params": dict(report.params)}
+    ce = report.counterexample
+    return {**report._asdict(), "params": dict(report.params),
+            "counterexample": None if ce is None else ce._asdict()}
 
 
 def reports_to_json(reports: Iterable[IdentityReport]) -> str:

@@ -17,7 +17,7 @@ import partlab
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Modules that only the identity layer needs.
+# Modules that only the identity layer needs, and one that no layer needs.
 HEAVY = ("partlab.identities", "concurrent.futures", "dataclasses")
 
 
@@ -83,3 +83,18 @@ loaded = [name for name in ("partlab.identities", "concurrent.futures") if name 
 print(json.dumps({{"code": code, "loaded": loaded}}))
 """)
     assert got == {"code": 0, "loaded": []}
+
+
+@pytest.mark.parametrize("argv", [["table", "s", "0", "3"], ["map", "glaisher", "--t", "2", "4,2"],
+                                  ["verify", "I1"], ["selftest", "--only", "1"]])
+def test_no_cli_command_loads_dataclasses(argv):
+    # Every record is a NamedTuple.  Only dataclasses is asserted: some
+    # interpreter builds load inspect for reasons of their own.
+    got = run_fresh(f"""
+import contextlib, io, json, sys
+from partlab import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main({argv!r})
+print(json.dumps({{"code": code, "dataclasses": "dataclasses" in sys.modules}}))
+""")
+    assert got == {"code": 0, "dataclasses": False}
