@@ -287,12 +287,12 @@ def list_identities() -> tuple[IdentitySpec, ...]:
     return tuple(_REGISTRY.values())
 
 
-def _resolve_n_max(spec: IdentitySpec, engine: str, n_max: int | None) -> int:
-    if n_max is not None:
-        if n_max < 1:
-            raise DomainError(f"n_max must be >= 1, got {n_max}")
-        return n_max
-    return qseries.DEFAULT_ORDER if engine == "series" else spec.enum_n_max
+def _check_count(name: str, value: int) -> None:
+    """A count argument (n_max, jobs) must be an int >= 1; a bool is not one."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise DomainError(f"{name} must be >= 1, got {value}")
 
 
 def _match_cell(spec: IdentitySpec, params: Mapping[str, int] | None,
@@ -334,6 +334,8 @@ def verify(identity_id: str, params: Mapping[str, int] | None = None,
     ``engine`` is one of the identity's allowed engines or "both".
     """
     spec = get_identity(identity_id)
+    if n_max is not None:
+        _check_count("n_max", n_max)
     matched = _match_cell(spec, params, n_max)
     if len(matched) > 1:
         raise DomainError(
@@ -346,7 +348,7 @@ def verify(identity_id: str, params: Mapping[str, int] | None = None,
     counterexample = None
     used_n_max = 0
     for eng in engines:
-        resolved = _resolve_n_max(spec, eng, n_max)
+        resolved = n_max or (qseries.DEFAULT_ORDER if eng == "series" else spec.enum_n_max)
         if eng == "enum":
             # Every enum run reads a family to n_max; check the cap before a
             # derived sequence (I9's recurrence) does work for nothing.
@@ -387,8 +389,9 @@ def verify_cells(ids: Iterable[str] | None = None,
     ``jobs`` (>= 1) caps the worker processes, which are also capped by the
     CPU count and the number of cells.
     """
-    if jobs < 1:
-        raise DomainError(f"jobs must be >= 1, got {jobs}")
+    _check_count("jobs", jobs)
+    if n_max is not None:
+        _check_count("n_max", n_max)
     wanted = set(_REGISTRY) if ids is None else {get_identity(i).id for i in ids}
     if not wanted.isdisjoint(I15_PAIR):
         wanted.update(I15_PAIR)

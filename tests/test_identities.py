@@ -1,4 +1,5 @@
 import json
+import os
 import time
 
 import pytest
@@ -419,6 +420,26 @@ def test_selection_contract_errors(args, kwargs, error, message, monkeypatch):
     with pytest.raises(error) as caught:
         verify_cells(*args, **kwargs)
     assert type(caught.value) is error and str(caught.value) == message
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda: verify_cells(["I1", "I2", "I3"], jobs=2.5), "jobs must be an integer, got 2.5"),
+    (lambda: verify_cells(["I1", "I2", "I3"], jobs="2"), "jobs must be an integer, got '2'"),
+    (lambda: verify_cells(["I1", "I2", "I3"], jobs=True), "jobs must be an integer, got True"),
+    (lambda: verify("I1", n_max=2.5), "n_max must be an integer, got 2.5"),
+    (lambda: verify("I1", n_max=True), "n_max must be an integer, got True"),
+    (lambda: verify("I6", {"p": 5, "offset": 4}, n_max="9"), "n_max must be an integer, got '9'"),
+    (lambda: verify_cells(["I5"], n_max=2.5, engine="series"), "n_max must be an integer, got 2.5"),
+    (lambda: verify_cells(None, n_max="9"), "n_max must be an integer, got '9'"),
+    (lambda: verify_cells(None, n_max=0), "n_max must be >= 1, got 0"),
+])
+def test_a_count_that_is_not_an_int_is_a_domain_error(run, message, monkeypatch):
+    # A 4-CPU machine, so that two jobs would reach the process pool.
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(identities, "_run_relation", lambda *a: None)
+    with pytest.raises(DomainError) as caught:
+        run()
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("ids, expected", [
