@@ -194,6 +194,21 @@ def test_lemma_divisibility():
                     assert (x // p) % k != 0, (p, k, x)
 
 
+def test_lemma_violation_guard_fires_when_the_split_is_broken(monkeypatch, capsys):
+    # With every factor of p*k split off, the guard cannot fire; a split that
+    # leaves the rest unsplit hands the core 4 = 2*2 from 5^4,4.
+    def no_split(t, pairs, out):
+        for part, mult in pairs:
+            out[part] = out.get(part, 0) + mult
+        return out
+
+    monkeypatch.setattr(bj, "_split", no_split)
+    with pytest.raises(bj.LemmaViolation, match="part 4 divided by 2 is divisible by 2"):
+        bj.dpk_to_dp(2, 2, P("5^4,4"))
+    assert cli.main(["map", "dpk", "--p", "2", "--k", "2", "5^4,4"]) == 4
+    assert capsys.readouterr().err.startswith("internal defect:")
+
+
 def test_trace_shape():
     source = P("2,1^7")
     trace = bj.genr_d_to_f(3, 4, 1, source)
