@@ -414,31 +414,30 @@ def test_selection_contract_sizes():
     ((None, {"t": 3}), {"engine": "series"}, DomainError,
      "no identity that runs engine 'series' has a grid cell matching {'t': 3}"),
     ((None,), {"jobs": 0}, DomainError, "jobs must be >= 1, got 0"),
+    ((["I1", "I2", "I3"],), {"jobs": 2.5}, DomainError, "jobs must be an integer, got 2.5"),
+    ((["I1", "I2", "I3"],), {"jobs": "2"}, DomainError, "jobs must be an integer, got '2'"),
+    ((["I1", "I2", "I3"],), {"jobs": True}, DomainError, "jobs must be an integer, got True"),
+    ((["I5"],), {"n_max": 2.5, "engine": "series"}, DomainError, "n_max must be an integer, got 2.5"),
+    ((None,), {"n_max": "9"}, DomainError, "n_max must be an integer, got '9'"),
+    ((None,), {"n_max": 0}, DomainError, "n_max must be >= 1, got 0"),
 ])
 def test_selection_contract_errors(args, kwargs, error, message, monkeypatch):
+    # A 4-CPU machine, so that a float jobs would reach the process pool.
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setattr(identities, "_run_relation", lambda *a: None)
     with pytest.raises(error) as caught:
         verify_cells(*args, **kwargs)
     assert type(caught.value) is error and str(caught.value) == message
 
 
-@pytest.mark.parametrize("run, message", [
-    (lambda: verify_cells(["I1", "I2", "I3"], jobs=2.5), "jobs must be an integer, got 2.5"),
-    (lambda: verify_cells(["I1", "I2", "I3"], jobs="2"), "jobs must be an integer, got '2'"),
-    (lambda: verify_cells(["I1", "I2", "I3"], jobs=True), "jobs must be an integer, got True"),
-    (lambda: verify("I1", n_max=2.5), "n_max must be an integer, got 2.5"),
-    (lambda: verify("I1", n_max=True), "n_max must be an integer, got True"),
-    (lambda: verify("I6", {"p": 5, "offset": 4}, n_max="9"), "n_max must be an integer, got '9'"),
-    (lambda: verify_cells(["I5"], n_max=2.5, engine="series"), "n_max must be an integer, got 2.5"),
-    (lambda: verify_cells(None, n_max="9"), "n_max must be an integer, got '9'"),
-    (lambda: verify_cells(None, n_max=0), "n_max must be >= 1, got 0"),
+@pytest.mark.parametrize("args, kwargs, message", [
+    (("I1",), {"n_max": 2.5}, "n_max must be an integer, got 2.5"),
+    (("I1",), {"n_max": True}, "n_max must be an integer, got True"),
+    (("I6", {"p": 5, "offset": 4}), {"n_max": "9"}, "n_max must be an integer, got '9'"),
 ])
-def test_a_count_that_is_not_an_int_is_a_domain_error(run, message, monkeypatch):
-    # A 4-CPU machine, so that two jobs would reach the process pool.
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(identities, "_run_relation", lambda *a: None)
+def test_verify_rejects_an_n_max_that_is_not_an_int(args, kwargs, message):
     with pytest.raises(DomainError) as caught:
-        run()
+        verify(*args, **kwargs)
     assert str(caught.value) == message
 
 
