@@ -1,3 +1,5 @@
+from enum import IntEnum
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -38,6 +40,47 @@ def test_zero_multiplicity_dropped():
 def test_invalid_input_rejected(bad):
     with pytest.raises(InvalidPartitionError):
         Partition(bad)
+
+
+PAIR = "expected (part, multiplicity) pair, got "
+PART = "part must be a positive integer, got "
+MULT = "multiplicity must be a nonnegative integer, got "
+
+
+class Part(IntEnum):
+    THREE = 3
+
+
+# Each bad input with its exact message.  The first bad item is reported,
+# and in it the part before the multiplicity; good items ahead of it change
+# nothing.
+BAD_INPUTS = [
+    ([(2, 1, 3)], PAIR + "(2, 1, 3)"),
+    ([5], PAIR + "5"),
+    ([(0, 1)], PART + "0"),
+    ([(True, 1)], PART + "True"),
+    ([("x", 1)], PART + "'x'"),
+    ([(2.5, 1)], PART + "2.5"),
+    ([(2, -1)], MULT + "-1"),
+    ([(2, False)], MULT + "False"),
+    ([(4, 1), (0, -1), 5], PART + "0"),
+    ([(4, 1), (3, -2), (0, 1)], MULT + "-2"),
+    ([(4, 1), (3, 0), "abc", (0, 1)], PAIR + "'abc'"),
+    ([(4, 2.0), (0, 1)], MULT + "2.0"),
+]
+
+
+def test_validation_contract():
+    for items, message in BAD_INPUTS:
+        with pytest.raises(InvalidPartitionError) as excinfo:
+            Partition(items)
+        assert str(excinfo.value) == message, items
+    # An int subclass other than bool is a valid part; zero multiplicities
+    # drop, and the weight is the sum of part * multiplicity.
+    p = Partition([(Part.THREE, 2), (5, 0), (1, 1), (Part.THREE, 1)])
+    assert p.pairs == ((3, 3), (1, 1))
+    assert p.weight == sum(part * mult for part, mult in p.pairs) == 10
+    assert Partition([(7, 0)]).pairs == ()
 
 
 @given(pair_lists)
