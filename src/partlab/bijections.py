@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, NamedTuple
 
 from . import families
-from .errors import DomainError, PartlabError
+from .errors import DomainError, InvalidPartitionError, PartlabError
 from .partition import Pair, Partition, format_partition
 
 
@@ -47,6 +47,7 @@ class BijectionTrace(NamedTuple):
 
 
 Steps = list[TraceStep] | None
+Image = dict[int, int]
 
 
 def _canonical(pairs: Iterable[Pair]) -> Partition:
@@ -110,7 +111,7 @@ def glaisher_inv(t: int, partition: Partition) -> Partition:
 # ---------------------------------------------------------------------------
 
 
-def _genr_f_to_d_core(k: int, partition: Partition, steps: Steps = None) -> Partition:
+def _genr_f_to_d_core(k: int, partition: Partition, steps: Steps = None) -> Image:
     """Parts divisible by k become (part/k)^(k*mult); the remaining parts
     pass through the inverse splitting map jointly."""
     scaled: list[Pair] = []
@@ -120,18 +121,17 @@ def _genr_f_to_d_core(k: int, partition: Partition, steps: Steps = None) -> Part
             rest.append((part, mult))
         else:
             scaled.append((part // k, k * mult))
-    split = _unsplit(k, rest, {})
     if steps is not None:
         if scaled:
             steps.append(TraceStep("divide parts divisible by "
                                    f"{k} and multiply their multiplicities by {k}", _canonical(scaled)))
         if rest:
             steps.append(TraceStep(f"apply inverse splitting (base {k}) to the rest",
-                                   _canonical(split.items())))
-    return Partition([*scaled, *split.items()])
+                                   _canonical(_unsplit(k, rest, {}).items())))
+    return _unsplit(k, rest, dict(scaled))
 
 
-def _genr_d_to_f_core(k: int, partition: Partition, steps: Steps = None) -> Partition:
+def _genr_d_to_f_core(k: int, partition: Partition, steps: Steps = None) -> Image:
     """A part x with multiplicity s becomes (k*x)^(s // k) together with the
     split image of x^(s mod k)."""
     scaled: list[Pair] = []
@@ -142,22 +142,21 @@ def _genr_d_to_f_core(k: int, partition: Partition, steps: Steps = None) -> Part
             scaled.append((k * part, q))
         if rem:
             rest.append((part, rem))
-    merged = _split(k, rest, {})
     if steps is not None:
         if scaled:
             steps.append(TraceStep(f"multiply parts by {k}, dividing their multiplicities",
                                    _canonical(scaled)))
         if rest:
             steps.append(TraceStep(f"apply the splitting map (base {k}) to leftover multiplicities",
-                                   _canonical(merged.items())))
-    return Partition([*scaled, *merged.items()])
+                                   _canonical(_split(k, rest, {}).items())))
+    return _split(k, rest, dict(scaled))
 
 
-def _dpk_to_dp_core(p: int, k: int, partition: Partition, steps: Steps = None) -> Partition:
+def _dpk_to_dp_core(p: int, k: int, partition: Partition, steps: Steps = None) -> Image:
     """See ``dpk_to_dp``; requires exactly one part repeated at least p*k
     times (or the empty partition)."""
     if not partition.pairs:
-        return partition
+        return {}
     pk = p * k
     j, m = next((part, mult) for part, mult in partition.pairs if mult >= pk)
     q, i = divmod(m, pk)
@@ -176,9 +175,8 @@ def _dpk_to_dp_core(p: int, k: int, partition: Partition, steps: Steps = None) -
             )
         else:
             divisible.append((part, mult))
-    # Unsplitting p*y in base k gives p times the unsplit image of y.
-    beta = _unsplit(k, divisible, {})
     if steps is not None:
+        beta = _unsplit(k, divisible, {})
         steps += [
             TraceStep(f"split {j}^{m} = {j}^{pk * q} + {j}^{i}", _canonical([(j, pk * q)])),
             TraceStep(f"convert {j}^{pk * q} into {p * j}^{k * q}", _canonical([converted])),
@@ -187,14 +185,18 @@ def _dpk_to_dp_core(p: int, k: int, partition: Partition, steps: Steps = None) -
             TraceStep(f"divide the rest by {p}, apply inverse splitting "
                       f"(base {k}), multiply back by {p}", _canonical(beta.items())),
         ]
-    return Partition([converted, *beta.items(), *keep])
+    # Unsplitting p*y in base k gives p times the unsplit image of y.  Kept
+    # parts are not multiples of p and the others are, so none is shared.
+    out = _unsplit(k, divisible, dict([converted]))
+    out.update(keep)
+    return out
 
 
-def _dp_to_dpk_core(p: int, k: int, partition: Partition, steps: Steps = None) -> Partition:
+def _dp_to_dpk_core(p: int, k: int, partition: Partition, steps: Steps = None) -> Image:
     """See ``dp_to_dpk``; requires exactly one multiple of p repeated at
     least k times (or the empty partition)."""
     if not partition.pairs:
-        return partition
+        return {}
     pk = p * k
     s, m = next((part, mult) for part, mult in partition.pairs if part % p == 0 and mult >= k)
     t, f = divmod(m, k)
@@ -211,7 +213,6 @@ def _dp_to_dpk_core(p: int, k: int, partition: Partition, steps: Steps = None) -
     mu_prime = [(p * part, mult) for part, mult in _split(k, light, {}).items()]
     # Parts in plain are not multiples of p and parts in mu_prime are, so
     # the two never share a part.
-    mu_second = _unsplit(pk, plain + mu_prime, {})
     if steps is not None:
         steps += [
             TraceStep(f"split {s}^{m} = {s}^{k * t} + {s}^{f}", _canonical([(s, k * t)])),
@@ -219,9 +220,9 @@ def _dp_to_dpk_core(p: int, k: int, partition: Partition, steps: Steps = None) -
             TraceStep(f"divide light multiples of {p} by {p}, apply the "
                       f"splitting map (base {k}), multiply back by {p}", _canonical(mu_prime)),
             TraceStep(f"apply inverse splitting (base {pk}) to the rest",
-                      _canonical(mu_second.items())),
+                      _canonical(_unsplit(pk, plain + mu_prime, {}).items())),
         ]
-    return Partition([converted, *mu_second.items()])
+    return _unsplit(pk, plain + mu_prime, dict([converted]))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +252,7 @@ def trace(name: str, cell: Cell, partition: Partition, inverse: bool = False) ->
     in_source, in_target = families.membership(*source), families.membership(*target)
     _require(in_source, source, partition)
     steps: list[TraceStep] = []
-    output = core(cell, partition, steps)
+    output = Partition(core(cell, partition, steps).items())
     _require(in_target, target, output)
     framed = (TraceStep("input", partition), *steps, TraceStep("output", output))
     return BijectionTrace(partition, output, () if entry.bare else framed)
@@ -314,8 +315,8 @@ class Bijection(NamedTuple):
 
     params: tuple[str, ...]
     classes: Callable[[Cell], tuple[ClassRef, ClassRef]]
-    forward: Callable[..., Partition]
-    inverse: Callable[..., Partition]
+    forward: Callable[..., Image]
+    inverse: Callable[..., Image]
     bare: bool = False
 
 
@@ -331,8 +332,8 @@ def _var0_sides(r: int) -> tuple[str, str]:
 BIJECTIONS: dict[str, Bijection] = {
     "glaisher": Bijection(
         ("t",), lambda c: (("glaisher_left", c), ("glaisher_right", c)),
-        lambda c, x, steps=None: glaisher(c["t"], x),
-        lambda c, y, steps=None: glaisher_inv(c["t"], y), bare=True),
+        lambda c, x, steps=None: dict(glaisher(c["t"], x).pairs),
+        lambda c, y, steps=None: dict(glaisher_inv(c["t"], y).pairs), bare=True),
     "genr": Bijection(
         ("p", "k", "r"), lambda c: (("f_pkr", c), ("d_pkr", c)),
         lambda c, x, steps=None: _genr_f_to_d_core(c["k"], x, steps),
@@ -371,13 +372,13 @@ def exhaustive_cell_check(name: str, params: Cell, n: int) -> list[str]:
 
     The codomain class C is never enumerated, and the maps run untraced:
     the genr, dpk and var0 cores check no class, and the glaisher entry's
-    ``glaisher``/``glaisher_inv`` check only their input.  Each image's
-    weight is computed from its pairs (a map may declare a weight it does
-    not have), the image must satisfy C's membership predicate, and no
-    image may repeat.  Then ``forward`` maps D_n injectively into C_n, and
-    |image| = |C_n|, read off C's counting table, makes it onto.
-    ``inverse(forward(x)) = x`` on every x makes ``inverse`` its inverse on
-    C_n.
+    ``glaisher``/``glaisher_inv`` check only their input.  Each forward
+    image is built by one validating ``Partition(...)``, which raises on a
+    malformed image; its weight must be n, it must satisfy C's membership
+    predicate, and no image may repeat.  Then ``forward`` maps D_n
+    injectively into C_n, and |image| = |C_n|, read off C's counting table,
+    makes it onto.  ``inverse(forward(x))`` must hold exactly the
+    multiplicities of x, so ``inverse`` is its inverse on C_n.
     """
     entry = get_bijection(name, params)
     (domain_family, domain_params), (codomain_family, codomain_params) = entry.classes(params)
@@ -385,22 +386,32 @@ def exhaustive_cell_check(name: str, params: Cell, n: int) -> list[str]:
     size = families.count_enum(codomain_family, n, codomain_params)
 
     failures: list[str] = []
-    seen: set[Partition] = set()
+    seen: set[tuple[Pair, ...]] = set()
     for source in families.enumerate_class(domain_family, n, domain_params):
-        image = entry.forward(params, source)
-        if sum([p * m for p, m in image.pairs]) != n:
+        image = Partition(entry.forward(params, source).items())
+        if image.weight != n:
             failures.append(f"weight changed: {source} -> {image}")
             continue
         if not in_codomain(image):
             failures.append(f"image outside the target class: {source} -> {image}")
             continue
-        if image in seen:
+        if image.pairs in seen:
             failures.append(f"not injective at {source} -> {image}")
             continue
-        seen.add(image)
+        seen.add(image.pairs)
         back = entry.inverse(params, image)
-        if back != source:
-            failures.append(f"round trip failed: {source} -> {image} -> {back}")
+        if back != dict(source.pairs):
+            failures.append(f"round trip failed: {source} -> {image} -> {_show(back)}")
     if len(seen) != size:
         failures.append(f"not surjective at n={n}: |image|={len(seen)} vs |class|={size}")
     return failures
+
+
+def _show(image: Image) -> str:
+    """The text form of a core's image, or the dict itself when it is not
+    a multiset of positive parts with positive multiplicities."""
+    try:
+        shown = Partition(image.items())
+    except InvalidPartitionError:
+        return repr(image)
+    return str(shown) if len(shown) == len(image) else repr(image)

@@ -8,6 +8,7 @@ multiplicity >= 1, and caches the weight (sum of part * multiplicity).
 from __future__ import annotations
 
 import re
+from operator import mul
 from typing import Iterable
 
 from .errors import InvalidPartitionError
@@ -36,15 +37,18 @@ class Partition:
                 part, mult = item
             except (TypeError, ValueError):
                 raise InvalidPartitionError(f"expected (part, multiplicity) pair, got {item!r}") from None
-            if not isinstance(part, int) or isinstance(part, bool) or part <= 0:
+            # A plain int skips the isinstance tests, which exist to let int
+            # subclasses other than bool through.
+            if (type(part) is not int and (not isinstance(part, int) or isinstance(part, bool))
+                    or part <= 0):
                 raise InvalidPartitionError(f"part must be a positive integer, got {part!r}")
-            if not isinstance(mult, int) or isinstance(mult, bool) or mult < 0:
+            if (type(mult) is not int and (not isinstance(mult, int) or isinstance(mult, bool))
+                    or mult < 0):
                 raise InvalidPartitionError(f"multiplicity must be a nonnegative integer, got {mult!r}")
             if mult:
                 merged[part] = merged.get(part, 0) + mult
-        canon = tuple(sorted(merged.items(), reverse=True))
-        self.pairs = canon
-        self.weight = sum(p * m for p, m in canon)
+        self.pairs = tuple(sorted(merged.items(), reverse=True))
+        self.weight = sum(map(mul, merged, merged.values()))
 
     @classmethod
     def _raw(cls, pairs: tuple[Pair, ...], weight: int) -> "Partition":

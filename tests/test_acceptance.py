@@ -57,7 +57,7 @@ def test_time_budget_overrun_fails():
 
 
 def test_a_raising_criterion_fails_with_its_error(monkeypatch):
-    monkeypatch.setattr(bijections, "_genr_d_to_f_core", lambda k, partition, steps=None: partition)
+    monkeypatch.setattr(bijections, "_genr_d_to_f_core", lambda k, partition, steps=None: dict(partition.pairs))
     result = acceptance.criterion_2()
     assert not result.passed
     assert any(note.startswith("raised DomainError:") for note in result.notes)
@@ -91,7 +91,7 @@ _FAULTS = {
     4: (lambda mp: _off_by_one(mp, "c", 5), "I1"),
     5: (lambda mp: mp.setitem(qseries.CLOSED_FORMS, "d_e", qseries.CLOSED_FORMS["d_o"]), "d_e"),
     6: (lambda mp: mp.setattr(families, "recurrence_d_e", lambda n: 7), "I9"),
-    7: (lambda mp: mp.setattr(bijections, "_genr_d_to_f_core", lambda k, y, steps=None: y), "genr"),
+    7: (lambda mp: mp.setattr(bijections, "_genr_d_to_f_core", lambda k, y, steps=None: dict(y.pairs)), "genr"),
     8: (lambda mp: _off_by_one(mp, "h", 5), "I7"),
 }
 

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from partlab import acceptance, cli, families
 from partlab import bijections as bj
-from partlab.errors import DomainError
+from partlab.errors import DomainError, InvalidPartitionError
 from partlab.partition import Partition, parse_partition
 
 
@@ -294,15 +294,15 @@ def test_sweep_enumerates_only_the_domain(name, params, monkeypatch):
                          ",".join(f"{k}={v}" for k, v in value.items()))
 def test_traced_run_agrees_with_the_untraced_core(name, params, inverse):
     # A core wraps its intermediates for trace steps only when it is traced,
-    # so the traced output must be the table core's image and every step a
-    # canonical partition.
+    # so the traced output must be the partition of the table core's image
+    # and every step a canonical partition.
     entry = bj.BIJECTIONS[name]
     source_class = entry.classes(params)[1 if inverse else 0]
     core = entry.inverse if inverse else entry.forward
     for n in range(13):
         for source in families.enumerate_class(source_class[0], n, source_class[1]):
             trace = bj.trace(name, params, source, inverse)
-            assert trace.output == core(params, source)
+            assert trace.output == Partition(core(params, source).items())
             for step in trace.steps:
                 assert_canonical(step.value)
 
@@ -356,11 +356,37 @@ def test_sweep_reports_wrong_genr_inverse(monkeypatch):
 
     def faulty(k, partition, steps=None):
         image = original(k, partition, steps)
-        return P("3,1") if partition == P("1^4") else image
+        return {3: 1, 1: 1} if partition == P("1^4") else image
 
     monkeypatch.setattr(bj, "_genr_d_to_f_core", faulty)
     failures = bj.exhaustive_cell_check("genr", {"p": 2, "k": 2, "r": 1}, 4)
     assert len(failures) == 1 and failures[0].startswith("round trip failed")
+
+
+def test_sweep_raises_on_a_malformed_forward_image(monkeypatch):
+    # The sweep's validating build of the forward image is its structural
+    # check: a core image that is no partition raises.
+    original = bj._genr_f_to_d_core
+    monkeypatch.setattr(bj, "_genr_f_to_d_core", lambda k, partition, steps=None:
+                        {0: 1} if partition == P("2^2") else original(k, partition, steps))
+    with pytest.raises(InvalidPartitionError, match="part must be a positive integer, got 0"):
+        bj.exhaustive_cell_check("genr", {"p": 2, "k": 2, "r": 1}, 4)
+
+
+@pytest.mark.parametrize("bad,shown", [
+    ({2: 1, 1: 2}, "2,1^2"),
+    ({0: 1}, "{0: 1}"),
+    ({4: -1, 8: 1}, "{4: -1, 8: 1}"),
+    ({2: 2, 1: 0}, "{2: 2, 1: 0}"),
+])
+def test_sweep_reports_wrong_or_malformed_inverse_image(bad, shown, monkeypatch):
+    # The inverse image is only compared with its source's multiplicities,
+    # so a wrong or malformed one is a failed round trip, not an error.
+    original = bj._genr_d_to_f_core
+    monkeypatch.setattr(bj, "_genr_d_to_f_core", lambda k, partition, steps=None:
+                        dict(bad) if partition == P("1^4") else original(k, partition, steps))
+    failures = bj.exhaustive_cell_check("genr", {"p": 2, "k": 2, "r": 1}, 4)
+    assert failures == [f"round trip failed: 2^2 -> 1^4 -> {shown}"]
 
 
 @pytest.mark.parametrize("name,params,core,source", [
@@ -372,7 +398,8 @@ def test_sweep_reports_core_image_outside_codomain(name, params, core, source, m
     # reaches the sweep's own codomain check instead of raising DomainError.
     # The table passes (..., partition, steps) positionally.
     original = getattr(bj, core)
-    monkeypatch.setattr(bj, core, lambda *args: args[-2] if args[-2] == P(source) else original(*args))
+    monkeypatch.setattr(bj, core, lambda *args: dict(args[-2].pairs) if args[-2] == P(source)
+                        else original(*args))
     failures = bj.exhaustive_cell_check(name, params, 4)
     assert f"image outside the target class: {source} -> {source}" in failures
     assert failures[-1].startswith("not surjective at n=4")
