@@ -1,15 +1,17 @@
 """Constructive weight-preserving bijections between partition classes.
 
 Every map is written once, as a core: a function of its cell values and a
-partition that returns the image.  A core computes on plain (part,
-multiplicity) pairs and dicts; all splitting arithmetic lives in two
-helpers, ``_split`` and ``_unsplit``, that add an image into a dict.  The
-image is built by one validating ``Partition(...)`` call, which is the
-sweep's structural check on it.  Only when its caller passes a ``steps``
-list does a core wrap the same intermediates, sorted, as ``TraceStep``
-values.  Cores check no class.  The public splitting maps ``glaisher`` and
-``glaisher_inv`` are their input checks plus one helper call; the glaisher
-entry of ``BIJECTIONS`` calls them, so they check each input untraced too.
+partition that returns the image as a ``{part: multiplicity}`` dict.  A
+core computes on plain (part, multiplicity) pairs and dicts; all
+splitting arithmetic lives in two helpers, ``_split`` and ``_unsplit``,
+that add an image into a dict.  No core builds a ``Partition``: ``trace``
+and the sweep build the one validating ``Partition(...)`` they need from
+the dict, and that build is the structural check on the image.  Only
+when its caller passes a ``steps`` list does a core wrap its
+intermediates, sorted, as ``TraceStep`` values.  Cores check no class.
+The public splitting maps ``glaisher`` and ``glaisher_inv`` are their
+input checks plus one helper call; the glaisher entry of ``BIJECTIONS``
+calls them, so they check each input untraced too.
 
 ``BIJECTIONS`` declares every map once, keyed by the name that
 ``partlab map`` and the exhaustive sweep use (glaisher, genr, dpk, var0).
@@ -18,8 +20,9 @@ class pair of a cell and its two cores, as functions of (cell, partition,
 steps).  ``trace`` is the only code that checks a map's classes and frames
 a ``BijectionTrace``; ``partlab map`` and the public maps (``genr_f_to_d``,
 ``dpk_to_dp``, ...) call it.  ``exhaustive_cell_check`` sweeps one (map,
-cell, weight) untraced: it enumerates only the domain class and checks the
-codomain by its membership predicate and its count.
+cell, weight) untraced: it enumerates only the domain class, checks the
+codomain by its membership predicate and its count, and compares each
+inverse image with its source's multiplicities.
 """
 
 from __future__ import annotations
@@ -311,7 +314,8 @@ ClassRef = tuple[str, Cell]
 class Bijection(NamedTuple):
     """One map: its cell's parameter names, a cell's (domain, codomain)
     classes and both directions as cores of (cell, partition, steps=None)
-    that return the image.  A bare map's trace holds no steps at all."""
+    that return the image as a ``{part: multiplicity}`` dict.  A bare
+    map's trace holds no steps at all."""
 
     params: tuple[str, ...]
     classes: Callable[[Cell], tuple[ClassRef, ClassRef]]
