@@ -6,13 +6,17 @@ also builds the closed-form generating functions of the counting families
 (``gf_family``).  Each is 1/(q;q)_inf or has one shape, a numerator
 (q^c; q^step)_inf times a Lambert-type sum, divided by (q;q)_inf, and is
 held as data in ``CLOSED_FORMS``: the sum's terms are ``lambert``'s
-arguments.  A dense numerator goes onto the sum one factor at a time, and
-the division groups (q;q)_inf's +-1 terms.
+arguments.  A product of two series is one int product (``mul``), and a
+dense numerator goes onto the sum one factor at a time.  The division
+(``quotient``) sums the earlier quotient coefficients over the divisor's -1
+terms and over its +1 terms apart, so dividing by (q;q)_inf multiplies
+nothing.
 """
 
 from __future__ import annotations
 
 import operator
+import struct
 from functools import reduce
 from typing import Callable, Iterable, Mapping
 
@@ -79,34 +83,76 @@ def _terms(a: Series) -> list[tuple[int, int]]:
     return [(i, c) for i, c in enumerate(a.coeffs) if c]
 
 
+# struct codes of the slot widths, in bytes, that mul packs with one Struct.
+_SLOT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def _slot_bytes(bound: int) -> int:
+    """Bytes per slot of mul's packed ints when no coefficient exceeds bound
+    in absolute value: the smallest of 1, 2, 4 and 8 bytes whose signed
+    range holds bound, else the fewest bytes that do."""
+    need = bound.bit_length() // 8 + 1
+    return next((w for w in _SLOT_CODES if w >= need), need)
+
+
 def mul(a: Series, b: Series) -> Series:
-    """Product, one shifted row of b per nonzero term of a: pass the sparser
-    series first."""
+    """Product by Kronecker substitution: each operand is packed into one
+    int, coefficient n in slot n, and one int product holds the result's
+    coefficients in the same slots; the low order + 1 are kept.
+
+    |c_n| <= min(sum|a| * max|b|, sum|b| * max|a|), and the bound is the
+    larger of that, max|a| and max|b|: ``_slot_bytes(bound)`` bytes hold
+    every coefficient with its sign, so no slot carries into the next.
+    Slots hold two's complement; the packed int is the bytes read unsigned,
+    XOR ``flip`` (each slot's sign bit), less flip, and ((product + flip) &
+    mask) ^ flip gives the low slots' bytes back.  Slots of 1, 2, 4 and 8
+    bytes go through one struct.Struct; wider ones, for bounds of 2^63 or
+    more, through int.to_bytes and int.from_bytes one slot at a time.
+    """
     order = _same_order(a, b)
-    out = [0] * (order + 1)
-    for i, ai in _terms(a):
-        out[i:] = [x + ai * y for x, y in zip(out[i:], b.coeffs)]
-    return Series(out)
+    xs, ys = a.coeffs, b.coeffs
+    mx, my = max(map(abs, xs)), max(map(abs, ys))
+    w = _slot_bytes(max(min(sum(map(abs, xs)) * my, sum(map(abs, ys)) * mx), mx, my))
+    size = w * (order + 1)
+    flip = int.from_bytes((b"\0" * (w - 1) + b"\x80") * (order + 1), "little")
+    code = _SLOT_CODES.get(w)
+    if code:
+        layout = struct.Struct(f"<{order + 1}{code}")
+        packed = [layout.pack(*cs) for cs in (xs, ys)]
+    else:
+        packed = [b"".join([c.to_bytes(w, "little", signed=True) for c in cs]) for cs in (xs, ys)]
+    pa, pb = [(int.from_bytes(data, "little") ^ flip) - flip for data in packed]
+    data = (((pa * pb + flip) & ((1 << 8 * size) - 1)) ^ flip).to_bytes(size, "little")
+    if code:
+        return Series(layout.unpack(data))
+    view = memoryview(data)
+    return Series(int.from_bytes(view[i:i + w], "little", signed=True) for i in range(0, size, w))
 
 
 def quotient(x: Series, a: Series) -> Series:
     """x / a, by y_n = a0 (x_n - sum of a_k y_(n-k)) over a's nonzero terms
-    with k >= 1, summing the y_(n-k) of equal a_k first: two multiplications
-    per y_n for (q;q)_inf.  The constant coefficient a0 must be +1 or -1."""
+    with k >= 1.  The y_(n-k) with a_k = -1 are summed and added, those with
+    a_k = +1 summed and subtracted, and those of each other a_k summed and
+    multiplied once: no multiplication per y_n for (q;q)_inf.  The constant
+    coefficient a0 must be +1 or -1."""
     order = _same_order(x, a)
     a0 = a.coeffs[0]
     if a0 not in (1, -1):
         raise DomainError(f"division needs constant coefficient +-1, got {a0}")
     pending = _terms(a)[:0:-1]  # terms with k >= 1, largest k first
-    groups: dict[int, list[int]] = {}  # a_k -> [-k, ...] for the k <= n
+    # -k for the k <= n: plus where a_k = -1, minus where a_k = +1, and
+    # a_k -> [-k, ...] in other for the rest.
+    plus: list[int] = []
+    minus: list[int] = []
+    other: dict[int, list[int]] = {}
     xs, out = x.coeffs, []  # out holds y_0 .. y_(n-1), so out[-k] is y_(n-k)
     get = out.__getitem__
     for n in range(order + 1):
         while pending and pending[-1][0] <= n:
             k, ak = pending.pop()
-            groups.setdefault(ak, []).append(-k)
-        s = xs[n]
-        for ak, ks in groups.items():
+            (plus if ak == -1 else minus if ak == 1 else other.setdefault(ak, [])).append(-k)
+        s = xs[n] + sum(map(get, plus)) - sum(map(get, minus))
+        for ak, ks in other.items():
             s -= ak * sum(map(get, ks))
         out.append(a0 * s)
     return Series(out)
@@ -181,9 +227,10 @@ def pentagonal_series(order: int, step: int = 1) -> Series:
 # ((c, step), terms): S is the sum of lambert(*term) over the terms, each
 # term being lambert's arguments less the order, (offset, step, sign[, num,
 # den[, coef]]).  With c = step the numerator is the sparse pentagonal
-# series in q^step, which mul takes; else (d_o, f2, f_pkr/d_pkr with r != 0)
-# times_pochhammer applies its factors to S one by one.  (-q;q)_inf, for a,
-# c, a_r and g_r, is (q^2;q^2)_inf/(q;q)_inf.
+# series in q^step, and mul multiplies it onto S as one packed-int product;
+# else (d_o, f2, f_pkr/d_pkr with r != 0) times_pochhammer applies its
+# factors to S one by one.  (-q;q)_inf, for a, c, a_r and g_r, is
+# (q^2;q^2)_inf/(q;q)_inf.
 # ---------------------------------------------------------------------------
 
 Form = tuple[tuple[int, int], tuple[tuple[int, ...], ...]]

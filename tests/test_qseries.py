@@ -1,5 +1,7 @@
+import itertools
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import partlab
 from partlab import qseries
@@ -289,6 +291,74 @@ def test_mul_matches_schoolbook(pair):
     assert mul(Series(ys), Series(xs)).coeffs == want
 
 
+def _sized_series(order):
+    """Coefficient lists of length order + 1 with magnitudes below 2^bits,
+    the bit size drawn per list, so that products need every slot width of
+    mul (1, 2, 4 and 8 bytes, and wider)."""
+    bits = st.sampled_from([6, 14, 30, 62, 63]) | st.integers(70, 200)
+    return bits.flatmap(lambda b: st.lists(
+        st.just(0) | st.integers(-(1 << b) + 1, (1 << b) - 1), min_size=order + 1, max_size=order + 1))
+
+
+def _cut(coeffs, order):
+    """coeffs padded with zeros or truncated to length order + 1."""
+    return (coeffs + [0] * (order + 1))[:order + 1]
+
+
+def _at_bound(bound, order, sign):
+    """Operand lists whose bound min(sum|a| max|b|, sum|b| max|a|) is exactly
+    bound, reached by the product's q^1 coefficient (sign * bound)."""
+    return _cut([sign, sign], order), _cut([bound - bound // 2, bound // 2], order)
+
+
+def _slot_width_edges(test):
+    """Examples whose bound is 2^(8w - 1) - 1, the largest a w-byte slot
+    holds with its sign, or 2^(8w - 1), the smallest it does not; then the
+    zero series, and order 0."""
+    for width in (1, 2, 4, 8):
+        top = (1 << 8 * width - 1) - 1
+        for bound, sign, order in itertools.product((top, top + 1), (1, -1), (1, 9)):
+            test = example(_at_bound(bound, order, sign))(test)
+    test = example(([0] * 8, [1, -1, -1, 0, 0, 1, 0, 1]))(test)
+    for x, y in ((0, 0), (3, -4), (127, 1), (1 << 63, -1), (-(1 << 70), 1 << 70)):
+        test = example(([x], [y]))(test)
+    return test
+
+
+@settings(max_examples=300)
+@_slot_width_edges
+@given(st.integers(0, 40).flatmap(lambda order: st.tuples(_sized_series(order), _sized_series(order))))
+def test_mul_matches_schoolbook_at_every_slot_width(pair):
+    xs, ys = pair
+    want = tuple(_schoolbook_mul(xs, ys))
+    assert mul(Series(xs), Series(ys)).coeffs == want
+    assert mul(Series(ys), Series(xs)).coeffs == want
+
+
+def test_slot_bytes_boundaries():
+    assert qseries._slot_bytes(0) == 1
+    for width, wider in ((1, 2), (2, 4), (4, 8), (8, 9)):
+        top = (1 << 8 * width - 1) - 1
+        assert qseries._slot_bytes(top) == width
+        assert qseries._slot_bytes(top + 1) == wider
+    assert qseries._slot_bytes((1 << 71) - 1) == 9
+    assert qseries._slot_bytes(1 << 71) == 10
+
+
+@pytest.mark.parametrize("x, width", [(3, 2), (100, 4), (10 ** 6, 8), (10 ** 12, 12)])
+def test_too_narrow_slots_corrupt_the_product(monkeypatch, x, width):
+    # q^200 of (x + x q + ... + x q^200)^2 is 201 x^2, the bound itself; one
+    # width step narrower still holds the operands, but not that.
+    a = Series([x] * 201)
+    want = tuple(_schoolbook_mul(list(a.coeffs), list(a.coeffs)))
+    assert mul(a, a).coeffs == want
+    real = qseries._slot_bytes
+    assert real(201 * x * x) == width
+    monkeypatch.setattr(qseries, "_slot_bytes", lambda bound: real(bound) // 2 if real(bound) <= 8
+                        else real(bound) - 1)
+    assert mul(a, a).coeffs != want
+
+
 @given(st.integers(0, 60).flatmap(_signed_series), st.sampled_from([1, -1]))
 def test_inverse_matches_schoolbook(xs, a0):
     coeffs = [a0] + xs[1:]
@@ -303,6 +373,18 @@ def test_quotient_matches_schoolbook(pair, a0):
     want = tuple(_schoolbook_quotient(xs, coeffs))
     assert quotient(Series(xs), Series(coeffs)).coeffs == want
     assert inverse(Series(coeffs)) == quotient(Series.one(len(coeffs) - 1), Series(coeffs))
+
+
+@pytest.mark.parametrize("order", [0, 1, 7, 120])
+@pytest.mark.parametrize("a0", [1, -1])
+def test_quotient_mixed_coefficient_groups(order, a0):
+    # a0 - q + q^2 + 2q^3 - 3q^5: one term each in the a_k = -1 and a_k = +1
+    # sums and two other coefficients, each multiplied once.
+    a = Series(_cut([a0, -1, 1, 2, 0, -3], order))
+    x = Series([(7 * n) % 11 - 5 for n in range(order + 1)])
+    assert inverse(a).coeffs == tuple(_schoolbook_inverse(list(a.coeffs)))
+    assert quotient(x, a).coeffs == tuple(_schoolbook_quotient(list(x.coeffs), list(a.coeffs)))
+    assert mul(quotient(x, a), a) == x
 
 
 def _schoolbook_pochhammer(xs, offset, step, sign):
