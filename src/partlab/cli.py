@@ -5,13 +5,14 @@ Subcommands: ``table`` (family values over a range, by either engine),
 (the full acceptance suite).
 
 Exit codes: 0 success, 1 verification/selftest failure, 2 usage error,
-3 resource limit, 4 domain violation.
+3 resource limit, 4 domain violation, 141 standard output closed early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -24,6 +25,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_DOMAIN = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command killed by it
 
 
 def _collect_params(args: argparse.Namespace) -> dict[str, int]:
@@ -209,6 +211,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except BrokenPipeError:
+        # The reader (say, `head`) closed the pipe.  Point stdout at the null
+        # device so that the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (ValueError, PartlabError) as exc:
         # Bad partitions, unknown ids, families without a closed form and
         # _UsageError: none is a DomainError.

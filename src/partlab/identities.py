@@ -9,10 +9,10 @@ CSV with stable field names.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import operator
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from io import StringIO
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -369,9 +369,62 @@ def verify(identity_id: str, params: Mapping[str, int] | None = None,
     )
 
 
-def _verify_job(args: tuple[str, tuple[tuple[str, int], ...], int | None, str | None]) -> IdentityReport:
-    identity_id, cell, n_max, engine = args
-    return verify(identity_id, dict(cell), n_max, engine)
+# A task: identity id, grid cell as sorted items, n_max and engine.
+Task = tuple[str, tuple[tuple[str, int], ...], int | None, str | None]
+
+
+def _run_share(tasks: Sequence[Task]) -> list[IdentityReport]:
+    return [verify(identity_id, dict(cell), n_max, engine)
+            for identity_id, cell, n_max, engine in tasks]
+
+
+def _send_share(sender, tasks: Sequence[Task]) -> None:
+    """A child's body: its share's reports, or its first exception, as one
+    message."""
+    try:
+        message = (True, _run_share(tasks))
+    except BaseException as exc:
+        message = (False, exc)
+    sender.send(message)
+
+
+def _run_shares(tasks: list[Task], workers: int) -> list[IdentityReport]:
+    """The reports of ``tasks`` in order, from contiguous shares of
+    ceil(len / workers): this process runs share 0 while one child per
+    other share (the platform's default start method) runs it and sends
+    back one message.  The first exception in task order is raised here,
+    as a serial run would raise it, and no child outlives the call."""
+    size = -(-len(tasks) // workers)
+    shares = [tasks[i:i + size] for i in range(0, len(tasks), size)]
+    context = multiprocessing.get_context()
+    children = []
+    try:
+        for share in shares[1:]:
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(target=_send_share, args=(sender, share))
+            child.start()
+            children.append((child, receiver))
+            sender.close()
+        reports = _run_share(shares[0])
+        for child, receiver in children:
+            try:
+                ok, value = receiver.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"a verify worker exited with code {child.exitcode} "
+                                   "before sending its reports") from None
+            if not ok:
+                raise value
+            reports += value
+        return reports
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receiver in children:
+            child.join()
+            receiver.close()
 
 
 def verify_cells(ids: Iterable[str] | None = None,
@@ -386,8 +439,9 @@ def verify_cells(ids: Iterable[str] | None = None,
     is in (identity, parameters) order.  A sweep of every identity (``ids``
     None) skips the identities that cannot run the engine or have no
     matching cell that n_max reaches, and fails only when none is left.
-    ``jobs`` (>= 1) caps the worker processes, which are also capped by the
-    CPU count and the number of cells.
+    ``jobs`` (>= 1) caps the processes that share the cells (this one and
+    its children), which are also capped by the CPU count and the number
+    of cells.
     """
     _check_count("jobs", jobs)
     if n_max is not None:
@@ -413,10 +467,7 @@ def verify_cells(ids: Iterable[str] | None = None,
         reach = f" with a checked index up to n_max={n_max}" if n_max is not None else ""
         raise DomainError(f"no identity{runs} has a grid cell matching {dict(params or {})!r}{reach}")
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_verify_job, tasks))
-    return [_verify_job(task) for task in tasks]
+    return _run_shares(tasks, workers) if workers > 1 else _run_share(tasks)
 
 
 def _orientations(reports: Iterable[IdentityReport]) -> dict[int, dict[str, bool]]:

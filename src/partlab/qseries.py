@@ -152,8 +152,9 @@ def quotient(x: Series, a: Series) -> Series:
             k, ak = pending.pop()
             (plus if ak == -1 else minus if ak == 1 else other.setdefault(ak, [])).append(-k)
         s = xs[n] + sum(map(get, plus)) - sum(map(get, minus))
-        for ak, ks in other.items():
-            s -= ak * sum(map(get, ks))
+        if other:  # empty for every (q;q)_inf divisor
+            for ak, ks in other.items():
+                s -= ak * sum(map(get, ks))
         out.append(a0 * s)
     return Series(out)
 

@@ -73,6 +73,20 @@ def test_python_dash_m_entry_point():
     assert proc.stdout == "8,6\n"
 
 
+def test_closed_stdout_exits_141_without_a_traceback():
+    # Over 64 KB of output, so the writer meets the closed pipe mid-run.
+    src = os.path.dirname(os.path.dirname(partlab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "partlab", "table", "s", "0..3000", "--engine", "series"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"0,1\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_PIPE == 141
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
 def test_table_formats(capsys):
     code, out, _ = run(capsys, "table", "d_e", "8", "8", "--format", "json")
     assert code == 0

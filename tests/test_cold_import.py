@@ -18,7 +18,7 @@ import partlab
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Modules that only the identity layer needs, and one that no layer needs.
-HEAVY = ("partlab.identities", "concurrent.futures", "dataclasses")
+HEAVY = ("partlab.identities", "multiprocessing", "dataclasses")
 
 
 def run_fresh(code: str) -> dict:
@@ -79,7 +79,7 @@ import contextlib, io, json, sys
 from partlab import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main({argv!r})
-loaded = [name for name in ("partlab.identities", "concurrent.futures") if name in sys.modules]
+loaded = [name for name in ("partlab.identities", "multiprocessing") if name in sys.modules]
 print(json.dumps({{"code": code, "loaded": loaded}}))
 """)
     assert got == {"code": 0, "loaded": []}

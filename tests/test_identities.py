@@ -1,5 +1,7 @@
 import json
+import multiprocessing
 import os
+import signal
 import time
 
 import pytest
@@ -201,14 +203,91 @@ def test_i2_sign_is_checked_as_signed_integers():
     assert verify("I2", None, 10, "enum").holds
 
 
-def test_parallel_jobs_match_sequential():
-    seq = verify_cells(["I4"], n_max=12, jobs=1)
-    par = verify_cells(["I4"], n_max=12, jobs=2)
-    strip = lambda rs: [(r.id, r.params, r.status) for r in rs]
-    assert strip(seq) == strip(par)
-    for jobs in (0, -3):
+def test_parallel_jobs_match_sequential(monkeypatch):
+    # A 4-CPU machine, so jobs=3 cuts the 62 default cells into shares of
+    # 21, 21 and 20.
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    strip = lambda rs: [r._replace(ms=0) for r in rs]
+    seq = strip(verify_cells())
+    assert len(seq) == 62
+    for jobs in (2, 3):
+        assert strip(verify_cells(jobs=jobs)) == seq
+        assert multiprocessing.active_children() == []
+    for bad in (0, -3):
         with pytest.raises(DomainError):
-            verify_cells(["I4"], n_max=12, jobs=jobs)
+            verify_cells(["I4"], n_max=12, jobs=bad)
+
+
+# The failure paths patch the relation runner in this process; only a forked
+# child sees the patch.
+forked = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                            reason="children must inherit the monkeypatch")
+
+
+@pytest.fixture
+def deadline():
+    """Fail, rather than hang, if the test still runs after 60 s."""
+    def expire(signum, frame):
+        raise TimeoutError("still running after 60 s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _raise_at(monkeypatch, faults):
+    """Patch the relation runner to call faults[(id, cell)] at that cell.
+    On a 4-CPU machine the cells of FAULT_IDS are cut into shares of 7 and
+    6 with two processes: I1, I2, I3 and I4 at (p, r) = (2, 0), (3, 0) |
+    (3, 1) to (5, 3).  With three, shares of 5, 5 and 3: ... (3, 0) |
+    (3, 1) to (5, 0) | (5, 1) to (5, 3)."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    run = identities._run_relation
+
+    def faulty(spec, cell, n_max, engine):
+        fault = faults.get((spec.id, tuple(sorted(cell.items()))))
+        if fault is not None:
+            fault()
+        return run(spec, cell, n_max, engine)
+    monkeypatch.setattr(identities, "_run_relation", faulty)
+
+
+def _raiser(exc):
+    def fault():
+        raise exc
+    return fault
+
+
+FAULT_IDS = ["I1", "I2", "I3", "I4"]
+LAST_I4 = ("I4", (("p", 5), ("r", 3)))
+
+
+@forked
+@pytest.mark.parametrize("jobs, cells", [
+    (2, [("I2", ()), LAST_I4]),  # in the caller's share, ahead of one in the child's
+    (2, [LAST_I4]),  # in the child's share only
+    (3, [("I4", (("p", 4), ("r", 0))), LAST_I4]),  # in the second and third shares
+])
+def test_a_raising_cell_reraises_the_first_error_in_cell_order(jobs, cells, monkeypatch, deadline):
+    _raise_at(monkeypatch, {cell: _raiser(ValueError(f"bad cell {cell}")) for cell in cells})
+    with pytest.raises(ValueError) as caught:
+        verify_cells(FAULT_IDS, n_max=10, jobs=jobs)
+    assert type(caught.value) is ValueError and str(caught.value) == f"bad cell {cells[0]}"
+    assert multiprocessing.active_children() == []
+
+
+@forked
+def test_a_child_that_dies_without_sending_names_its_exit_code(monkeypatch, deadline):
+    parent = os.getpid()
+
+    def die():
+        if os.getpid() != parent:
+            os._exit(3)
+    _raise_at(monkeypatch, {LAST_I4: die})
+    with pytest.raises(RuntimeError, match="exited with code 3 before sending its reports"):
+        verify_cells(FAULT_IDS, n_max=10, jobs=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_json_and_csv_serialization():
