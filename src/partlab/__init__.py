@@ -5,10 +5,10 @@ enumeration oracle and a truncated formal power series, and every registered
 identity can be checked over a parameter grid with structured reports.
 
 ``import partlab`` loads the counting and series layers only.  The identity
-layer (``partlab.identities`` and the process pool it runs cells on) loads
-the first time it or one of its exports (``verify``, ``verify_cells``,
-``list_identities``, ``IdentitySpec``, ``IdentityReport``) is read, through
-the module ``__getattr__`` (PEP 562).
+layer (``partlab.identities``, whose ``verify --jobs`` runs its cells in
+per-process shares) loads the first time it or one of its exports (``verify``,
+``verify_cells``, ``list_identities``, ``IdentitySpec``, ``IdentityReport``)
+is read, through the module ``__getattr__`` (PEP 562).
 """
 
 from .enumeration import ALL, DISTINCT, EnumKind, generate, multiplicity_at_most

@@ -4,11 +4,12 @@ Every map is written once, as a core: a function of its cell values and a
 partition that returns the image as a ``{part: multiplicity}`` dict.  A
 core computes on plain (part, multiplicity) pairs and dicts; all
 splitting arithmetic lives in two helpers, ``_split`` and ``_unsplit``,
-that add an image into a dict.  No core builds a ``Partition``: ``trace``
-and the sweep build the one validating ``Partition(...)`` they need from
-the dict, and that build is the structural check on the image.  Only
-when its caller passes a ``steps`` list does a core wrap its
-intermediates, sorted, as ``TraceStep`` values.  Cores check no class.
+that add an image into a dict.  An untraced core builds no ``Partition``:
+``trace`` and the sweep build the one validating ``Partition(...)`` they
+need from the dict, and that build is the structural check on the image.
+Only when its caller passes a ``steps`` list does a core build its
+intermediates, each by ``Partition(...)``, as ``TraceStep`` values.  Cores
+check no class.
 The public splitting maps ``glaisher`` and ``glaisher_inv`` are their
 input checks plus one helper call; the glaisher entry of ``BIJECTIONS``
 calls them, so they check each input untraced too.
@@ -51,12 +52,6 @@ class BijectionTrace(NamedTuple):
 
 Steps = list[TraceStep] | None
 Image = dict[int, int]
-
-
-def _canonical(pairs: Iterable[Pair]) -> Partition:
-    """Wrap pairs with distinct parts and positive multiplicities, sorted."""
-    canon = tuple(sorted(pairs, reverse=True))
-    return Partition._raw(canon, sum(part * mult for part, mult in canon))
 
 
 def _split(t: int, pairs: Iterable[Pair], out: dict[int, int]) -> dict[int, int]:
@@ -127,10 +122,10 @@ def _genr_f_to_d_core(k: int, partition: Partition, steps: Steps = None) -> Imag
     if steps is not None:
         if scaled:
             steps.append(TraceStep("divide parts divisible by "
-                                   f"{k} and multiply their multiplicities by {k}", _canonical(scaled)))
+                                   f"{k} and multiply their multiplicities by {k}", Partition(scaled)))
         if rest:
             steps.append(TraceStep(f"apply inverse splitting (base {k}) to the rest",
-                                   _canonical(_unsplit(k, rest, {}).items())))
+                                   Partition(_unsplit(k, rest, {}).items())))
     return _unsplit(k, rest, dict(scaled))
 
 
@@ -148,10 +143,10 @@ def _genr_d_to_f_core(k: int, partition: Partition, steps: Steps = None) -> Imag
     if steps is not None:
         if scaled:
             steps.append(TraceStep(f"multiply parts by {k}, dividing their multiplicities",
-                                   _canonical(scaled)))
+                                   Partition(scaled)))
         if rest:
             steps.append(TraceStep(f"apply the splitting map (base {k}) to leftover multiplicities",
-                                   _canonical(_split(k, rest, {}).items())))
+                                   Partition(_split(k, rest, {}).items())))
     return _split(k, rest, dict(scaled))
 
 
@@ -181,12 +176,12 @@ def _dpk_to_dp_core(p: int, k: int, partition: Partition, steps: Steps = None) -
     if steps is not None:
         beta = _unsplit(k, divisible, {})
         steps += [
-            TraceStep(f"split {j}^{m} = {j}^{pk * q} + {j}^{i}", _canonical([(j, pk * q)])),
-            TraceStep(f"convert {j}^{pk * q} into {p * j}^{k * q}", _canonical([converted])),
-            TraceStep(f"apply the splitting map (base {pk}) to the rest", _canonical(image.items())),
-            TraceStep(f"parts of the image not divisible by {p}", _canonical(keep)),
+            TraceStep(f"split {j}^{m} = {j}^{pk * q} + {j}^{i}", Partition([(j, pk * q)])),
+            TraceStep(f"convert {j}^{pk * q} into {p * j}^{k * q}", Partition([converted])),
+            TraceStep(f"apply the splitting map (base {pk}) to the rest", Partition(image.items())),
+            TraceStep(f"parts of the image not divisible by {p}", Partition(keep)),
             TraceStep(f"divide the rest by {p}, apply inverse splitting "
-                      f"(base {k}), multiply back by {p}", _canonical(beta.items())),
+                      f"(base {k}), multiply back by {p}", Partition(beta.items())),
         ]
     # Unsplitting p*y in base k gives p times the unsplit image of y.  Kept
     # parts are not multiples of p and the others are, so none is shared.
@@ -218,12 +213,12 @@ def _dp_to_dpk_core(p: int, k: int, partition: Partition, steps: Steps = None) -
     # the two never share a part.
     if steps is not None:
         steps += [
-            TraceStep(f"split {s}^{m} = {s}^{k * t} + {s}^{f}", _canonical([(s, k * t)])),
-            TraceStep(f"convert {s}^{k * t} into {s // p}^{pk * t}", _canonical([converted])),
+            TraceStep(f"split {s}^{m} = {s}^{k * t} + {s}^{f}", Partition([(s, k * t)])),
+            TraceStep(f"convert {s}^{k * t} into {s // p}^{pk * t}", Partition([converted])),
             TraceStep(f"divide light multiples of {p} by {p}, apply the "
-                      f"splitting map (base {k}), multiply back by {p}", _canonical(mu_prime)),
+                      f"splitting map (base {k}), multiply back by {p}", Partition(mu_prime)),
             TraceStep(f"apply inverse splitting (base {pk}) to the rest",
-                      _canonical(_unsplit(pk, plain + mu_prime, {}).items())),
+                      Partition(_unsplit(pk, plain + mu_prime, {}).items())),
         ]
     return _unsplit(pk, plain + mu_prime, dict([converted]))
 

@@ -171,6 +171,19 @@ def _register_line(members: tuple[tuple[str, tuple[int, int], str], ...],
             make_fold=partial(fold, odd=odd, even=even), validate=validate))
 
 
+def _register_heavy(rows: tuple[tuple[str, tuple[str, ...], Callable[[dict], None] | None,
+                                      Callable[..., tuple], str], ...]) -> None:
+    """Register heavy-value classes from (id, param names, validate, mkr,
+    description) rows: ``mkr(**cell)`` gives the (m, k, r[, weight]) of
+    ``_fold_one_heavy_in_residue``, exactly one part value in class r mod m
+    with multiplicity >= k and a nonzero weight (1 when omitted)."""
+    for family, param_names, validate, mkr, description in rows:
+        _register(FamilySpec(
+            family, "class", param_names, description,
+            make_fold=partial(lambda mkr, **cell: _fold_one_heavy_in_residue(*mkr(**cell)), mkr),
+            validate=validate))
+
+
 _register(FamilySpec(
     "s", "class", (),
     "number of unrestricted partitions",
@@ -207,10 +220,9 @@ _register_line((
     ("b_e", (0, 1), "even number of parts, the set of even part values is a singleton"),
     ("b", (1, -1), "signed count: odd-length minus even-length singleton-even-set partitions"),
 ), (), None, _fold_singleton_even_set)
-_register(FamilySpec(
-    "b_prime", "class", (),
-    "partitions whose set of even part values is a singleton",
-    make_fold=lambda: _fold_one_heavy_in_residue(2, 1, 0),
+_register_heavy((
+    ("b_prime", (), None, lambda: (2, 1, 0),
+     "partitions whose set of even part values is a singleton"),
 ))
 _register_line((
     ("g_r_odd", (1, 0),
@@ -228,53 +240,27 @@ _register_line((
     ("o_p_even", (0, 1), "singleton divisible-value set with an even number of divisible parts"),
 ), ("p",), _validate_p2, lambda odd, even, p: _fold_one_heavy_in_residue(
     p, 1, 0, lambda part, mult: odd if mult % 2 else even))
-_register(FamilySpec(
-    "h", "class", ("p", "i"),
-    "parts not divisible by p are free, parts in class i mod 2p form a "
-    "singleton set, all other multiples of p are forbidden",
-    validate=_validate_h,
+_register_heavy((
     # An int weight, not a bool: fold states stay ints.
-    make_fold=lambda p, i: _fold_one_heavy_in_residue(
-        p, 1, 0, lambda part, mult: int(part % (2 * p) == i)),
-))
-_register(FamilySpec(
-    "d_e", "class", (),
-    "exactly one even part repeated, other even parts distinct, odd parts free",
-    make_fold=lambda: _fold_one_heavy_in_residue(2, 2, 0),
-))
-_register(FamilySpec(
-    "d_o", "class", (),
-    "exactly one odd part repeated, other odd parts distinct, even parts free",
-    make_fold=lambda: _fold_one_heavy_in_residue(2, 2, 1),
-))
-_register(FamilySpec(
-    "f0", "class", (),
-    "the set of part values divisible by 4 is a singleton",
-    make_fold=lambda: _fold_one_heavy_in_residue(4, 1, 0),
-))
-_register(FamilySpec(
-    "f2", "class", (),
-    "the set of part values congruent to 2 mod 4 is a singleton",
-    make_fold=lambda: _fold_one_heavy_in_residue(4, 1, 2),
-))
-_register(FamilySpec(
-    "d_pkr", "class", ("p", "k", "r"),
-    "exactly one part in class r mod p appears at least k times, other parts "
-    "in that class fewer, parts outside the class free",
-    validate=_validate_pkr,
-    make_fold=_fold_one_heavy_in_residue,
-))
-_register(FamilySpec(
-    "f_pkr", "class", ("p", "k", "r"),
-    "the set of part values in class k*r mod p*k is a singleton",
-    validate=_validate_pkr,
-    make_fold=lambda p, k, r: _fold_one_heavy_in_residue(p * k, 1, (k * r) % (p * k)),
-))
-_register(FamilySpec(
-    "d_k", "class", ("k",),
-    "exactly one part value appears at least k times, all others fewer",
-    validate=_validate_k2,
-    make_fold=lambda k: _fold_one_heavy_in_residue(1, k, 0),
+    ("h", ("p", "i"), _validate_h,
+     lambda p, i: (p, 1, 0, lambda part, mult: int(part % (2 * p) == i)),
+     "parts not divisible by p are free, parts in class i mod 2p form a "
+     "singleton set, all other multiples of p are forbidden"),
+    ("d_e", (), None, lambda: (2, 2, 0),
+     "exactly one even part repeated, other even parts distinct, odd parts free"),
+    ("d_o", (), None, lambda: (2, 2, 1),
+     "exactly one odd part repeated, other odd parts distinct, even parts free"),
+    ("f0", (), None, lambda: (4, 1, 0),
+     "the set of part values divisible by 4 is a singleton"),
+    ("f2", (), None, lambda: (4, 1, 2),
+     "the set of part values congruent to 2 mod 4 is a singleton"),
+    ("d_pkr", ("p", "k", "r"), _validate_pkr, lambda p, k, r: (p, k, r),
+     "exactly one part in class r mod p appears at least k times, other parts "
+     "in that class fewer, parts outside the class free"),
+    ("f_pkr", ("p", "k", "r"), _validate_pkr, lambda p, k, r: (p * k, 1, (k * r) % (p * k)),
+     "the set of part values in class k*r mod p*k is a singleton"),
+    ("d_k", ("k",), _validate_k2, lambda k: (1, k, 0),
+     "exactly one part value appears at least k times, all others fewer"),
 ))
 _register_line((
     ("g_alpha_odd", (1, 0),

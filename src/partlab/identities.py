@@ -13,7 +13,6 @@ import multiprocessing
 import operator
 import os
 import time
-from io import StringIO
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import enumeration, families, numtheory, qseries
@@ -523,20 +522,8 @@ CSV_FIELDS = ("id", "params", "n_max", "engine", "status",
 
 
 def reports_to_csv(reports: Iterable[IdentityReport]) -> str:
-    out = StringIO()
-    out.write(",".join(CSV_FIELDS) + "\n")
-    for report in reports:
-        ce = report.counterexample
-        row = (
-            report.id,
-            format_params(dict(report.params), sep=";"),
-            str(report.n_max),
-            report.engine,
-            report.status,
-            "" if ce is None else str(ce.n),
-            "" if ce is None else str(ce.lhs),
-            "" if ce is None else str(ce.rhs),
-            str(report.ms),
-        )
-        out.write(",".join(row) + "\n")
-    return out.getvalue()
+    rows = [CSV_FIELDS]
+    for r in reports:
+        rows.append((r.id, format_params(dict(r.params), sep=";"), r.n_max, r.engine, r.status,
+                     *(r.counterexample or ("", "", "")), r.ms))
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)

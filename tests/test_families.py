@@ -211,13 +211,22 @@ def test_glaisher_class_counts_agree():
 
 def test_specializations():
     for n in range(41):
-        assert count_enum("d_e", n) == count_enum("d_pkr", n, {"p": 2, "k": 2, "r": 0})
-        assert count_enum("d_o", n) == count_enum("d_pkr", n, {"p": 2, "k": 2, "r": 1})
-        assert count_enum("f0", n) == count_enum("f_pkr", n, {"p": 2, "k": 2, "r": 0})
-        assert count_enum("f2", n) == count_enum("f_pkr", n, {"p": 2, "k": 2, "r": 1})
         assert count_enum("a", n) == count_enum("a_r", n, {"p": 2, "r": 0})
         assert count_enum("a", n) == count_enum("a_np", n, {"p": 2})
-        assert count_enum("o_p", n, {"p": 2}) == count_enum("b_prime", n)
+
+
+@pytest.mark.parametrize("fixed, row, cell", [
+    ("d_e", "d_pkr", {"p": 2, "k": 2, "r": 0}),
+    ("d_o", "d_pkr", {"p": 2, "k": 2, "r": 1}),
+    ("f0", "f_pkr", {"p": 2, "k": 2, "r": 0}),
+    ("f2", "f_pkr", {"p": 2, "k": 2, "r": 1}),
+    ("b_prime", "o_p", {"p": 2}),
+])
+def test_the_papers_fixed_classes_are_cells_of_their_rows(fixed, row, cell):
+    # The same partitions, not only the same counts.
+    assert enum_values(fixed, 40) == enum_values(row, 40, cell)
+    for n in range(21):
+        assert enumerate_class(fixed, n) == enumerate_class(row, n, cell)
 
 
 def test_recurrence_values():

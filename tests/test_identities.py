@@ -2,7 +2,10 @@ import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -216,6 +219,28 @@ def test_parallel_jobs_match_sequential(monkeypatch):
     for bad in (0, -3):
         with pytest.raises(DomainError):
             verify_cells(["I4"], n_max=12, jobs=bad)
+
+
+def test_parallel_jobs_match_sequential_under_spawn():
+    # Spawn is the default start method on macOS and Windows: each child
+    # imports partlab afresh and is sent its share by pickling.  A fresh
+    # interpreter, since the start method is set once per process.
+    code = """
+import multiprocessing, os
+multiprocessing.set_start_method("spawn")
+os.cpu_count = lambda: 4
+from partlab.identities import verify_cells
+strip = lambda rs: [r._replace(ms=0) for r in rs]
+serial = strip(verify_cells(["I4", "I11"], jobs=1))
+assert strip(verify_cells(["I4", "I11"], jobs=3)) == serial
+assert multiprocessing.active_children() == []
+print(len(serial))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    # Enough cells for three shares.
+    assert int(done.stdout) >= 3
 
 
 # The failure paths patch the relation runner in this process; only a forked
@@ -501,7 +526,7 @@ def test_selection_contract_sizes():
     ((None,), {"n_max": 0}, DomainError, "n_max must be >= 1, got 0"),
 ])
 def test_selection_contract_errors(args, kwargs, error, message, monkeypatch):
-    # A 4-CPU machine, so that a float jobs would reach the process pool.
+    # A 4-CPU machine, so that a float jobs would cut the cells into per-process shares.
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setattr(identities, "_run_relation", lambda *a: None)
     with pytest.raises(error) as caught:

@@ -1,6 +1,7 @@
 """The record contract: every result partlab hands out is a small immutable
 record, built by keyword or position, with a field-by-field repr and
-equality, and the identity reports survive the process pool's pickling."""
+equality, and the identity reports survive the pickling that sends a
+``verify --jobs`` share's reports back from its process."""
 
 import inspect
 import pickle
